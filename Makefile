@@ -1,4 +1,4 @@
-.PHONY: all build test test-parallel chaos-smoke chaos-restart check-invariants conformance bench-perf bench-parallel bench-cloud check doc fmt clean
+.PHONY: all build test test-parallel sweep chaos-smoke chaos-restart check-invariants conformance bench-perf bench-parallel bench-cloud check doc fmt clean
 
 all: build
 
@@ -16,10 +16,17 @@ test: build
 test-parallel: build
 	HYPERTEE_EXEC=parallel:4 dune runtest --force
 
+# The deterministic sweep at CI size: every paper table and figure
+# (Tables I-VI, Figs. 6-12, ablations), then the chaos and scale
+# sweeps. Exits non-zero if any entry's verdict is dirty (e.g. a
+# Table VI probe mismatch or an invariant violation under faults).
+sweep: build
+	dune exec bin/hypertee_cli.exe -- all --quick
+
 # Deterministic quick availability sweep: exercises the fault injector,
 # EMCall retry/timeout, the EMS watchdog and integrity containment.
 chaos-smoke: build
-	dune exec bench/main.exe -- chaos --smoke
+	dune exec bin/hypertee_cli.exe -- chaos --quick
 
 # Rolling-restart recovery scenario: kill and cold-restart every EMS
 # shard under live traffic, then verify zero lost enclaves, a silent
@@ -27,29 +34,26 @@ chaos-smoke: build
 # Writes the report table to CHAOS_restart.txt; exits non-zero on any
 # loss, divergence or violation.
 chaos-restart: build
-	dune exec bin/hypertee_cli.exe -- chaos --rolling --ops 400 --table CHAOS_restart.txt
+	dune exec bin/hypertee_cli.exe -- restart --out CHAOS_restart.txt
 
 # Wall-clock MB/s microbenchmarks of the crypto data plane; writes
 # BENCH_perf.json so the throughput trajectory is tracked across PRs.
 # Raw MB/s is machine-dependent, so `check` does not gate on it — but
 # the speedup-vs-reference ratios are portable, and the run fails if
-# any fresh ratio falls more than TOLERANCE percent below the
-# committed BENCH_perf.json (the baseline is read before the file is
-# rewritten). Override with e.g. `make bench-perf TOLERANCE=50`.
-TOLERANCE ?= 30
-
+# any fresh ratio falls more than 30 percent below the committed
+# BENCH_perf.json (the baseline is read before the file is
+# rewritten).
 bench-perf: build
-	dune exec bin/hypertee_cli.exe -- perf --quick --json BENCH_perf.json \
-		--baseline BENCH_perf.json --tolerance $(TOLERANCE)
+	dune exec bin/hypertee_cli.exe -- perf --quick --out BENCH_perf.json --baseline BENCH_perf.json
 
 # bench-perf plus the domain-parallel comparison: scale-point
 # makespan and MEE bulk-pipeline throughput, single-domain vs fanned
-# over worker domains, with speedup ratios recorded alongside the
-# host block (the ratios only mean something relative to the
-# parallelism the machine actually offers).
+# over 4 worker domains (HYPERTEE_EXEC=parallel:N overrides), with
+# speedup ratios recorded alongside the host block (the ratios only
+# mean something relative to the parallelism the machine offers).
 bench-parallel: build
-	dune exec bin/hypertee_cli.exe -- perf --quick --parallel --domains 4 --json BENCH_perf.json \
-		--baseline BENCH_perf.json --tolerance $(TOLERANCE)
+	dune exec bin/hypertee_cli.exe -- perf-parallel --quick --out BENCH_perf.json \
+		--baseline BENCH_perf.json
 
 # Enclave-as-a-service SLO sweep: the multi-tenant cloud driver
 # (open-loop offered-load ladder + closed loop per shard count, warm
@@ -58,14 +62,14 @@ bench-parallel: build
 # oracle's verdict; the target exits non-zero on any violation or
 # divergence surfaced by the churn.
 bench-cloud: build
-	dune exec bin/hypertee_cli.exe -- cloud --quick --json BENCH_cloud.json
+	dune exec bin/hypertee_cli.exe -- cloud --quick --out BENCH_cloud.json
 
 # Differential oracle + invariant sweep: replays a clean and a
 # fault-injected management workload under the EMCall oracle, then
 # runs a reduced explorer pass. Deterministic; exits non-zero on any
 # divergence or broken invariant.
 check-invariants: build
-	dune exec bin/hypertee_cli.exe -- check --calls 600 --seeds 12
+	dune exec bin/hypertee_cli.exe -- check --quick
 
 # Secure-channel conformance: replay the canned handshake flights and
 # record vectors from docs/PROTOCOL.md §7 (well-formed traffic must
@@ -75,11 +79,11 @@ conformance: build
 	dune exec bin/hypertee_cli.exe -- conformance
 
 # The gate for a change: everything builds, the full test suite is
-# green in both execution modes, the chaos smoke sweep completes
-# without a hang, the rolling restart recovers every shard with
-# nothing lost, the oracle/invariant pass holds, and the secure-
-# channel conformance vectors all pass.
-check: build test test-parallel chaos-smoke chaos-restart check-invariants conformance
+# green in both execution modes, the deterministic sweep (paper
+# tables and figures, chaos and scale smoke) is clean, the rolling
+# restart recovers every shard with nothing lost, the oracle/invariant
+# pass holds, and the secure-channel conformance vectors all pass.
+check: build test test-parallel sweep chaos-restart check-invariants conformance
 
 # API reference from the .mli doc comments, built with odoc into
 # _build/default/_doc/_html. Skips with a notice when odoc is absent,

@@ -1,37 +1,38 @@
 (* hypertee: command-line front end for the simulator.
 
-   Subcommands:
+   Every experiment is an entry of Hypertee_experiments.Registry and
+   gets a subcommand here: the paper's tables and figures (table1 ..
+   table6, fig6 .. fig12, ablations), chaos, scale, cloud, restart,
+   rebalance, check, conformance, metrics, perf and perf-parallel.
+   [all] runs the deterministic sweep (paper entries, chaos, scale).
+   Each entry's verdict sets the exit code. Five plain commands sit
+   beside them:
      info                     platform and configuration summary
      demo                     run the full enclave-lifecycle demo
      attest                   run remote attestation end to end
-     primitives               list Table II primitives
      cost <primitive>         service-time breakdown on each EMS core
-     slo                      the Fig. 6 queueing experiment for one setup
-     area                     the Table V area report
-     security                 the Table I / Table VI matrices
-     chaos                    fault-injection availability sweep
-     scale                    CS cores x EMS shards x batch-size sweep
-     trace <experiment>       traced run exported as Chrome trace_event JSON
-     metrics                  platform metrics registry after a mixed workload *)
+     trace <experiment>       traced run exported as Chrome trace_event JSON *)
 
 open Cmdliner
 module Types = Hypertee_ems.Types
 module Config = Hypertee_arch.Config
 module Table = Hypertee_util.Table
+module Registry = Hypertee_experiments.Registry
 
-let seed_arg =
-  let doc = "Deterministic platform seed." in
-  Arg.(value & opt int 0x5EED & info [ "seed" ] ~docv:"SEED" ~doc)
+let seed_arg default =
+  let doc = "Deterministic seed." in
+  Arg.(value & opt int64 default & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let platform_of_seed seed = Hypertee.Platform.create ~seed:(Int64.of_int seed) ()
+let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"CI-sized run.")
+let out_info doc = Arg.info [ "out"; "o" ] ~docv:"FILE" ~doc
 
 (* --- info --- *)
 
 let info_cmd =
   let run seed =
-    let platform = platform_of_seed seed in
+    let platform = Hypertee.Platform.create ~seed () in
     let config = Hypertee.Platform.config platform in
-    Printf.printf "HyperTEE platform (seed %#x)\n" seed;
+    Printf.printf "HyperTEE platform (seed %#Lx)\n" seed;
     Printf.printf "  CS cores       : %d x %s\n" config.Config.cs_cores Config.cs_core.Config.name;
     Printf.printf "  EMS cores      : %d x %s\n" config.Config.ems_cores
       (Config.ems_core config.Config.ems_kind).Config.name;
@@ -44,16 +45,17 @@ let info_cmd =
       (String.sub
          (Hypertee_util.Bytes_ext.to_hex
             (Hypertee_crypto.Rsa.public_to_bytes (Hypertee.Platform.ek_public platform)))
-         0 32)
+         0 32);
+    0
   in
   Cmd.v (Cmd.info "info" ~doc:"Show the platform configuration")
-    Term.(const run $ seed_arg)
+    Term.(const run $ seed_arg 0x5EEDL)
 
 (* --- demo --- *)
 
 let demo_cmd =
   let run seed =
-    let platform = platform_of_seed seed in
+    let platform = Hypertee.Platform.create ~seed () in
     let image =
       Hypertee.Sdk.image_of_code ~code:(Bytes.of_string "demo enclave")
         ~data:(Bytes.of_string "demo data") ()
@@ -77,16 +79,16 @@ let demo_cmd =
         (match Hypertee.Sdk.destroy platform ~enclave with
         | Ok () -> print_endline "enclave destroyed"
         | Error m -> Printf.printf "destroy failed: %s\n" m);
-        `Ok ())
+        `Ok 0)
   in
   Cmd.v (Cmd.info "demo" ~doc:"Run the enclave lifecycle demo")
-    Term.(ret (const run $ seed_arg))
+    Term.(ret (const run $ seed_arg 0x5EEDL))
 
 (* --- attest --- *)
 
 let attest_cmd =
   let run seed =
-    let platform = platform_of_seed seed in
+    let platform = Hypertee.Platform.create ~seed () in
     let image = Hypertee.Sdk.image_of_code ~code:(Bytes.of_string "attested code") ~data:Bytes.empty () in
     match Hypertee.Sdk.launch platform image with
     | Error m -> `Error (false, m)
@@ -94,7 +96,7 @@ let attest_cmd =
       match Hypertee.Sdk.enter platform ~enclave with
       | Error m -> `Error (false, m)
       | Ok session -> (
-        let rng = Hypertee_util.Xrng.create (Int64.of_int (seed + 1)) in
+        let rng = Hypertee_util.Xrng.create (Int64.succ seed) in
         match
           Hypertee.Verifier.attest_enclave ~rng ~ek:(Hypertee.Platform.ek_public platform)
             ~ak:(Hypertee.Platform.ak_public platform)
@@ -106,28 +108,11 @@ let attest_cmd =
             (Hypertee_util.Bytes_ext.to_hex
                outcome.Hypertee.Verifier.quote.Hypertee_ems.Attest.enclave_measurement)
             (Hypertee_util.Bytes_ext.to_hex outcome.Hypertee.Verifier.session_key);
-          `Ok ()
+          `Ok 0
         | Error f -> `Error (false, Hypertee.Verifier.failure_message f)))
   in
   Cmd.v (Cmd.info "attest" ~doc:"Run remote attestation end to end")
-    Term.(ret (const run $ seed_arg))
-
-(* --- primitives --- *)
-
-let primitives_cmd =
-  let run () =
-    Table.print
-      ~headers:[ "Primitive"; "Priv."; "Semantics" ]
-      (List.map
-         (fun op ->
-           [
-             Types.opcode_name op;
-             (match Types.required_privilege op with Types.Os -> "OS" | Types.User -> "User");
-             Types.opcode_semantics op;
-           ])
-         Types.all_opcodes)
-  in
-  Cmd.v (Cmd.info "primitives" ~doc:"List the Table II primitives") Term.(const run $ const ())
+    Term.(ret (const run $ seed_arg 0x5EEDL))
 
 (* --- cost --- *)
 
@@ -190,248 +175,10 @@ let cost_cmd =
           [ Config.Weak; Config.Medium; Config.Strong ]
       in
       Table.print ~headers:[ "EMS core"; "crypto"; "service time" ] rows;
-      `Ok ()
+      `Ok 0
   in
   Cmd.v (Cmd.info "cost" ~doc:"Service-time of a primitive on each EMS configuration")
     Term.(ret (const run $ primitive_arg $ pages_arg))
-
-(* --- slo --- *)
-
-let slo_cmd =
-  let cs_arg = Arg.(value & opt int 32 & info [ "cs-cores" ] ~docv:"N" ~doc:"CS core count.") in
-  let ems_arg = Arg.(value & opt int 2 & info [ "ems-cores" ] ~docv:"N" ~doc:"EMS core count.") in
-  let kind_arg =
-    let kinds = [ ("weak", Config.Weak); ("medium", Config.Medium); ("strong", Config.Strong) ] in
-    Arg.(value & opt (enum kinds) Config.Medium & info [ "ems-kind" ] ~docv:"KIND" ~doc:"EMS core kind.")
-  in
-  let requests_arg =
-    Arg.(value & opt int 16384 & info [ "requests" ] ~docv:"N" ~doc:"Allocation primitives to issue.")
-  in
-  let run seed cs_cores ems_cores kind requests =
-    let c =
-      Hypertee_experiments.Fig6.run ~seed:(Int64.of_int seed) ~cs_cores ~ems_cores ~ems_kind:kind
-        ~requests
-    in
-    Printf.printf "%d CS cores against %d %s EMS core(s), %d requests\n" cs_cores ems_cores
-      (Config.ems_kind_name kind) requests;
-    Printf.printf "baseline (non-enclave p99): %s\n"
-      (Hypertee_util.Units.show_ns c.Hypertee_experiments.Fig6.baseline_ns);
-    Printf.printf "p99 latency: %.2fx baseline\n" c.Hypertee_experiments.Fig6.p99_multiplier;
-    List.iter
-      (fun (x, frac) ->
-        if List.mem x [ 1.0; 2.0; 4.0; 8.0 ] then
-          Printf.printf "  resolved within %4.1fx baseline: %5.1f%%\n" x (100.0 *. frac))
-      c.Hypertee_experiments.Fig6.points
-  in
-  Cmd.v (Cmd.info "slo" ~doc:"Run the Fig. 6 concurrent-primitive SLO experiment")
-    Term.(const run $ seed_arg $ cs_arg $ ems_arg $ kind_arg $ requests_arg)
-
-(* --- area --- *)
-
-let area_cmd =
-  let run () =
-    Table.print
-      ~headers:[ "CS cores"; "CS mm2"; "EMS config"; "EMS mm2"; "overhead" ]
-      (List.map
-         (fun (r : Hypertee_arch.Area.report) ->
-           [
-             string_of_int r.Hypertee_arch.Area.cs_cores;
-             Printf.sprintf "%.0f" r.Hypertee_arch.Area.cs_area_mm2;
-             Printf.sprintf "%d %s" r.Hypertee_arch.Area.ems_cores
-               (Config.ems_kind_name r.Hypertee_arch.Area.ems_kind);
-             Printf.sprintf "%.2f" r.Hypertee_arch.Area.ems_area_mm2;
-             Printf.sprintf "%.2f%%" r.Hypertee_arch.Area.overhead_pct;
-           ])
-         (Hypertee_arch.Area.table_v ()))
-  in
-  Cmd.v (Cmd.info "area" ~doc:"Table V area report") Term.(const run $ const ())
-
-(* --- security --- *)
-
-let security_cmd =
-  let run () =
-    print_endline "Table I: security risks";
-    Table.print
-      ~headers:[ "Security Threats"; "Attack Management Tasks"; "Attack Enclaves" ]
-      (Hypertee.Security.table_i_rows ());
-    print_endline "\nTable VI: defense capability";
-    Table.print
-      ~headers:("TEE" :: List.map Hypertee.Security.attack_name Hypertee.Security.all_attacks)
-      (Hypertee.Security.table_vi_rows ())
-  in
-  Cmd.v (Cmd.info "security" ~doc:"Table I and Table VI matrices") Term.(const run $ const ())
-
-(* --- chaos --- *)
-
-let chaos_cmd =
-  let ops_arg =
-    Arg.(value & opt int 2000 & info [ "ops" ] ~docv:"N" ~doc:"EMCall invocations per sweep point.")
-  in
-  let smoke_arg =
-    Arg.(value & flag & info [ "smoke" ] ~doc:"Quick sweep (300 ops per point).")
-  in
-  let rolling_arg =
-    Arg.(
-      value & flag
-      & info [ "rolling" ]
-          ~doc:
-            "Run only the rolling-restart scenario: kill and cold-restart every EMS shard \
-             under live traffic, verify zero lost enclaves and a clean end-of-run deep \
-             invariant sweep. Exits nonzero on any loss, divergence or violation.")
-  in
-  let table_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "table" ] ~docv:"FILE"
-          ~doc:"Also write the rolling-restart report table to $(docv).")
-  in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the rolling-restart platform ($(b,Config.domains)); the \
-             HYPERTEE_EXEC environment variable overrides this.")
-  in
-  let run seed ops smoke rolling table domains =
-    let ops = if smoke then 300 else ops in
-    let seed = Int64.of_int seed in
-    let rolling_pass ~ops =
-      let r = Hypertee_experiments.Chaos.rolling_restart ~seed ~ops ~domains () in
-      Hypertee_experiments.Chaos.print_restart r;
-      (match table with
-      | None -> ()
-      | Some path ->
-        let ch = open_out path in
-        Hypertee_experiments.Chaos.print_restart ~out:ch r;
-        close_out ch;
-        Printf.printf "wrote rolling-restart table to %s\n" path);
-      r
-    in
-    if rolling then begin
-      Printf.printf "rolling restart: ops=%d, seed=%Ld\n" ops seed;
-      let r = rolling_pass ~ops in
-      if not (Hypertee_experiments.Chaos.restart_clean r) then Stdlib.exit 1
-    end
-    else begin
-      Printf.printf "chaos sweep: ops=%d per point, seed=%Ld\n" ops seed;
-      Printf.printf
-        "recovery machinery: EMCall retry/timeout, EMS watchdog, integrity containment\n";
-      Hypertee_experiments.Chaos.print (Hypertee_experiments.Chaos.run ~seed ~ops);
-      Printf.printf "\nrolling restart (quick pass): ops=%d\n"
-        Hypertee_experiments.Chaos.restart_default_ops;
-      let r = rolling_pass ~ops:Hypertee_experiments.Chaos.restart_default_ops in
-      if not (Hypertee_experiments.Chaos.restart_clean r) then Stdlib.exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "chaos" ~doc:"Availability sweep under deterministic fault injection")
-    Term.(const run $ seed_arg $ ops_arg $ smoke_arg $ rolling_arg $ table_arg $ domains_arg)
-
-(* --- scale --- *)
-
-let scale_cmd =
-  let ops_arg =
-    Arg.(value & opt int 256 & info [ "ops" ] ~docv:"N" ~doc:"EALLOC primitives per grid point.")
-  in
-  let smoke_arg = Arg.(value & flag & info [ "smoke" ] ~doc:"Quick sweep (64 ops per point).") in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains per sweep platform ($(b,Config.domains)); the results are \
-             identical by construction, only wall clock changes. The HYPERTEE_EXEC \
-             environment variable overrides this.")
-  in
-  let run seed ops smoke domains =
-    let ops = if smoke then 64 else ops in
-    let seed = Int64.of_int seed in
-    Printf.printf "scalability sweep: ops=%d per point, seed=%Ld, domains=%d\n" ops seed domains;
-    Printf.printf "one doorbell drains a batch; EMS shards serve disjoint enclave id classes\n";
-    Hypertee_experiments.Scale.print ~seed ~domains ~ops ();
-    print_newline ();
-    Hypertee_experiments.Scale.print_rebalance
-      (Hypertee_experiments.Scale.rebalance ~seed ~ops ())
-  in
-  Cmd.v
-    (Cmd.info "scale"
-       ~doc:"Scalability sweep: CS cores x EMS shards x doorbell batch size")
-    Term.(const run $ seed_arg $ ops_arg $ smoke_arg $ domains_arg)
-
-(* --- cloud --- *)
-
-let cloud_cmd =
-  let quick_arg =
-    Arg.(value & flag & info [ "quick" ] ~doc:"CI-sized sweep (fewer sessions, shorter ladder).")
-  in
-  let json_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Write the SLO curves as JSON (BENCH_cloud.json).")
-  in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains per sweep platform ($(b,Config.domains)); results are identical \
-             by construction. The HYPERTEE_EXEC environment variable overrides this.")
-  in
-  let run seed quick json domains =
-    let seed = Int64.of_int seed in
-    Printf.printf "enclave-as-a-service sweep: seed=%Ld, domains=%d%s\n" seed domains
-      (if quick then " (quick)" else "");
-    Printf.printf
-      "sessions: EWARM warm pool (cold launch on miss) -> attest -> secure channel -> ERETIRE\n";
-    let outcome = Hypertee_experiments.Cloud.run ~seed ~quick ~domains () in
-    Hypertee_experiments.Cloud.print outcome;
-    (match json with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Hypertee_experiments.Cloud.json_of_outcome outcome);
-      close_out oc;
-      Printf.printf "wrote SLO curves to %s\n" path);
-    if not (Hypertee_experiments.Cloud.clean outcome) then begin
-      prerr_endline "cloud: invariant violations or oracle divergences under churn";
-      Stdlib.exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "cloud"
-       ~doc:
-         "Multi-tenant enclave-as-a-service load sweep: SLO curves, admission control, warm \
-          pool")
-    Term.(const run $ seed_arg $ quick_arg $ json_arg $ domains_arg)
-
-(* --- check --- *)
-
-let check_cmd =
-  let deep_arg =
-    Arg.(
-      value & flag
-      & info [ "deep" ] ~doc:"Also MAC-verify every mapped enclave and shared page.")
-  in
-  let calls_arg =
-    Arg.(
-      value & opt int 1200
-      & info [ "calls" ] ~docv:"N" ~doc:"EMCalls per oracle replay (clean and fault-injected).")
-  in
-  let seeds_arg =
-    Arg.(
-      value & opt int 24
-      & info [ "seeds" ] ~docv:"N" ~doc:"Interleaving-explorer scenarios to run.")
-  in
-  let run deep calls seeds =
-    if not (Hypertee_experiments.Verify.run ~deep ~calls ~seeds ()) then Stdlib.exit 1
-  in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Verify platform invariants and replay the EMCall stream against a differential \
-          oracle")
-    Term.(const run $ deep_arg $ calls_arg $ seeds_arg)
 
 (* --- trace --- *)
 
@@ -442,10 +189,8 @@ let trace_cmd =
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"CI-sized workload.") in
   let out_arg =
-    Arg.(value & opt string "trace.json" & info [ "out"; "o" ] ~docv:"FILE"
-           ~doc:"Where to write the Chrome trace_event JSON.")
+    Arg.(value & opt string "trace.json" & out_info "Where to write the Chrome trace_event JSON.")
   in
   let run seed target quick path =
     match Hypertee_experiments.Tracing.target_of_string target with
@@ -455,158 +200,82 @@ let trace_cmd =
          Printf.sprintf "unknown experiment %S (one of: %s)" target
            (String.concat ", " Hypertee_experiments.Tracing.target_names))
     | Some t ->
-      ignore (Hypertee_experiments.Tracing.run ~quick ~seed:(Int64.of_int seed) ~path t);
+      ignore (Hypertee_experiments.Tracing.run ~quick ~seed ~path t);
       Printf.printf "load %s in chrome://tracing or ui.perfetto.dev\n" path;
-      `Ok ()
+      `Ok 0
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Run an experiment under the span tracer and export Chrome trace_event JSON")
-    Term.(ret (const run $ seed_arg $ target_arg $ quick_arg $ out_arg))
+    Term.(ret (const run $ seed_arg 0x5EEDL $ target_arg $ quick_arg $ out_arg))
 
-(* --- conformance --- *)
+(* --- registry entries --- *)
 
-let conformance_cmd =
-  let run () =
-    let outcomes = Hypertee_channel.Conformance.run () in
-    print_string (Hypertee_channel.Conformance.render outcomes);
-    if Hypertee_channel.Conformance.all_ok outcomes then `Ok ()
-    else `Error (false, "conformance vectors failed")
-  in
-  Cmd.v
-    (Cmd.info "conformance"
-       ~doc:
-         "Run the secure-channel protocol conformance vectors (docs/PROTOCOL.md \xC2\xA77): \
-          canned handshake flights, record round trips, and every malformed-input rejection")
-    Term.(ret (const run $ const ()))
+let verdict name clean =
+  if clean then 0
+  else begin
+    Printf.eprintf "%s: FAILED\n" name;
+    1
+  end
 
-(* --- metrics --- *)
+let deep_arg =
+  Arg.(
+    value & flag
+    & info [ "deep" ] ~doc:"Also MAC-verify every mapped enclave and shared page.")
 
-let metrics_cmd =
-  let ops_arg =
-    Arg.(value & opt int 400 & info [ "ops" ] ~docv:"N" ~doc:"Mixed primitives to issue.")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Also write the registry as JSON to $(docv).")
-  in
-  let run seed ops json =
-    ignore (Hypertee_experiments.Tracing.metrics ~seed:(Int64.of_int seed) ~ops ?json ())
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:"Run a mixed workload and print the platform metrics registry")
-    Term.(const run $ seed_arg $ ops_arg $ json_arg)
+let baseline_arg =
+  Arg.(
+    value & opt (some string) None
+    & info [ "baseline" ] ~docv:"FILE"
+        ~doc:
+          "Compare the fresh speedup-vs-reference ratios against the samples in $(docv) \
+           (a previously written perf JSON) and fail if any fell more than 30%. Raw MB/s \
+           is not gated: it is machine-dependent, the ratios are not.")
 
-(* --- perf --- *)
-
-let perf_cmd =
-  let quick_arg =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Shorter measurement windows and sweep.")
+let entry_cmd (Registry.Entry e as entry) =
+  let seed =
+    match e.seed with Some s -> Term.(const Option.some $ seed_arg s) | None -> Term.const None
   in
-  let json_arg =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Also write the samples as a JSON array to $(docv).")
+  let out =
+    match e.write with
+    | Some (what, _) ->
+      Arg.(value & opt (some string) None & out_info ("Also write " ^ what ^ " to $(docv)."))
+    | None -> Term.const None
   in
-  let parallel_arg =
-    Arg.(
-      value & flag
-      & info [ "parallel" ]
-          ~doc:
-            "Also benchmark domain-parallel execution: scale-point makespan and MEE bulk \
-             pipelines, sequential vs fanned over worker domains, with speedup ratios.")
+  let extra x arg default = if List.mem x e.extras then arg else Term.const default in
+  let run seed quick out deep baseline =
+    let params = Registry.params entry ?seed ~deep ?baseline ~quick () in
+    verdict e.name (Registry.execute entry params ?out stdout)
   in
-  let domains_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Worker domains for --parallel (default: what the host recommends).")
+  let doc =
+    match e.sizes with
+    | Some (quick, full) -> Printf.sprintf "%s (size %d, or %d with --quick)." e.doc full quick
+    | None -> e.doc ^ "."
   in
-  let baseline_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Compare the fresh speedup-vs-reference ratios against the samples in $(docv) \
-             (a previously written perf JSON) and exit non-zero on a regression beyond the \
-             tolerance. Raw MB/s is not gated: it is machine-dependent, the ratios are \
-             not.")
-  in
-  let tolerance_arg =
-    Arg.(
-      value & opt float 30.0
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:
-            "Allowed drop (percent) of a speedup ratio below the baseline before \
-             --baseline fails, absorbing benchmark noise.")
-  in
-  let run quick json parallel domains baseline tolerance =
-    Printf.printf "wall-clock data-plane benchmark (%s windows)\n"
-      (if quick then "quick" else "full");
-    (* Load the baseline up front: --json and --baseline may name the
-       same file (refreshing the committed numbers while gating
-       against the old ones). *)
-    let baseline_samples =
-      match baseline with
-      | None -> None
-      | Some path ->
-        if Sys.file_exists path then Some (path, Hypertee_experiments.Perf.load_baseline ~path)
-        else begin
-          Printf.printf
-            "WARNING: baseline %s not found; skipping the perf regression guard\n" path;
-          None
-        end
-    in
-    let samples = Hypertee_experiments.Perf.run ~quick () in
-    let samples =
-      if not parallel then samples
-      else begin
-        Printf.printf "parallel-execution benchmark (%d recommended domain(s) on this host)\n"
-          (Hypertee_util.Domain_pool.recommended_domains ());
-        samples @ Hypertee_experiments.Parallel_bench.run ~quick ?domains ()
-      end
-    in
-    Hypertee_experiments.Perf.print samples;
-    (match json with
-    | None -> ()
-    | Some path ->
-      Hypertee_experiments.Perf.write_json ~path samples;
-      Printf.printf "wrote %d samples to %s\n" (List.length samples) path);
-    match baseline_samples with
-    | None -> ()
-    | Some (path, base) -> (
-      match
-        Hypertee_experiments.Perf.compare_to_baseline ~baseline:base ~tolerance_pct:tolerance
-          samples
-      with
-      | [] ->
-        Printf.printf "perf guard: speedup ratios within %.0f%% of %s\n" tolerance path
-      | regs ->
-        List.iter
-          (fun r ->
-            Printf.printf "perf guard: REGRESSION %s %s: %.2fx -> %.2fx (tolerance %.0f%%)\n"
-              r.Hypertee_experiments.Perf.r_target r.Hypertee_experiments.Perf.r_metric
-              r.Hypertee_experiments.Perf.r_baseline r.Hypertee_experiments.Perf.r_current
-              tolerance)
-          regs;
-        exit 1)
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:"Wall-clock MB/s microbenchmarks of the crypto data plane")
+  Cmd.v (Cmd.info e.name ~doc)
     Term.(
-      const run $ quick_arg $ json_arg $ parallel_arg $ domains_arg $ baseline_arg
-      $ tolerance_arg)
+      const run $ seed $ quick_arg $ out $ extra Registry.Deep deep_arg false
+      $ extra Registry.Baseline baseline_arg None)
+
+let all_cmd =
+  let run quick =
+    List.fold_left
+      (fun code (Registry.Entry e as entry) ->
+        let clean = Registry.execute entry (Registry.params entry ~quick ()) stdout in
+        Stdlib.max code (verdict e.name clean))
+      0 Registry.all
+  in
+  Cmd.v
+    (Cmd.info "all"
+       ~doc:"Run every paper table and figure, then chaos and scale; deterministic output.")
+    Term.(const run $ quick_arg)
 
 let () =
   let doc = "HyperTEE: a decoupled TEE architecture simulator (MICRO 2024 reproduction)" in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
-    (Cmd.eval
+    (Cmd.eval'
        (Cmd.group ~default
           (Cmd.info "hypertee" ~version:"1.0.0" ~doc)
-          [
-            info_cmd; demo_cmd; attest_cmd; primitives_cmd; cost_cmd; slo_cmd; area_cmd;
-            security_cmd; chaos_cmd; scale_cmd; cloud_cmd; check_cmd; trace_cmd; metrics_cmd;
-            conformance_cmd; perf_cmd;
-          ]))
+          ([ info_cmd; demo_cmd; attest_cmd; cost_cmd; trace_cmd; all_cmd ]
+          @ List.map entry_cmd Registry.entries)))

@@ -370,6 +370,7 @@ let shard_of_enclave t enclave =
 
 (* Enclave lookups must follow the same affinity the gate routes by. *)
 let owning_runtime t enclave = t.shards.(shard_of_enclave t enclave).runtime
+let find_enclave t enclave = Runtime.find_enclave (owning_runtime t enclave) enclave
 
 type host_fault =
   | Fault of Ptw.fault
@@ -419,7 +420,7 @@ let dma_write t ~channel ~frame data =
     Ok ()
 
 let with_measured_enclave t ~enclave k =
-  match Runtime.find_enclave (owning_runtime t enclave) enclave with
+  match find_enclave t enclave with
   | None -> Error "no such enclave"
   | Some e -> (
     match e.Hypertee_ems.Enclave.measurement with

@@ -97,6 +97,10 @@ val shard_count : t -> int
 
 val shard_of_enclave : t -> Hypertee_ems.Types.enclave_id -> int
 
+(** The enclave's control structure, looked up in the runtime of the
+    shard the gate routes it to ({!shard_of_enclave}). *)
+val find_enclave : t -> Hypertee_ems.Types.enclave_id -> Hypertee_ems.Enclave.t option
+
 (** The trap dispatcher (interrupt/exception routing, Sec. III-B). *)
 val traps : t -> Hypertee_cs.Traps.t
 

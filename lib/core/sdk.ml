@@ -1,5 +1,4 @@
 module Types = Hypertee_ems.Types
-module Runtime = Hypertee_ems.Runtime
 module Enclave = Hypertee_ems.Enclave
 module Emcall = Hypertee_cs.Emcall
 module Phys_mem = Hypertee_arch.Phys_mem
@@ -121,7 +120,7 @@ let enter platform ~enclave =
   let* entered = os_invoke platform (Types.Enter { enclave }) in
   match entered with
   | Types.Ok_entered _ -> (
-    match Runtime.find_enclave (Platform.Internals.runtime platform) enclave with
+    match Platform.find_enclave platform enclave with
     | Some e -> Ok (Session.make platform ~enclave:e)
     | None -> Error "enclave vanished after EENTER")
   | Types.Err e -> Error (Types.error_message e)
@@ -131,7 +130,7 @@ let resume platform ~enclave =
   let* resumed = os_invoke platform (Types.Resume { enclave }) in
   match resumed with
   | Types.Ok_entered _ -> (
-    match Runtime.find_enclave (Platform.Internals.runtime platform) enclave with
+    match Platform.find_enclave platform enclave with
     | Some e -> Ok (Session.make platform ~enclave:e)
     | None -> Error "enclave vanished after ERESUME")
   | Types.Err e -> Error (Types.error_message e)
@@ -147,7 +146,7 @@ let destroy platform ~enclave =
 (* Host access to the staging window: plaintext frames owned by the
    CS OS, so the access legitimately passes iHub and the bitmap. *)
 let staging_frame platform ~enclave ~page =
-  match Runtime.find_enclave (Platform.Internals.runtime platform) enclave with
+  match Platform.find_enclave platform enclave with
   | None -> Error "no such enclave"
   | Some e -> (
     match List.nth_opt e.Enclave.staging_frames page with

@@ -395,8 +395,8 @@ let print_restart ?(out = stdout) r =
   Printf.fprintf out "end-of-run deep invariant sweep: %d violation(s)\n" r.final_violations;
   Printf.fprintf out "rolling restart %s\n" (if restart_clean r then "PASSED" else "FAILED")
 
-(* The one rendering of a sweep, shared by the CLI and the benchmark
-   harness — callers that capture output pass their own channel. *)
+(* The one rendering of a sweep; callers that capture output pass
+   their own channel. *)
 let print ?(out = stdout) points =
   Hypertee_util.Table.print ~out
     ~headers:

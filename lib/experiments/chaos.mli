@@ -41,8 +41,7 @@ val run_point : seed:int64 -> fault_rate:float -> ops:int -> point
 val run : seed:int64 -> ops:int -> point list
 
 (** [print ?out points] renders the sweep as the standard ASCII
-    table to [out] (default [stdout]) — the single formatting shared
-    by the CLI and the benchmark harness. *)
+    table to [out] (default [stdout]). *)
 val print : ?out:out_channel -> point list -> unit
 
 (** {2 Rolling restart}

@@ -24,22 +24,6 @@ module Phys_mem = Hypertee_arch.Phys_mem
 
 let page_size = Hypertee_util.Units.page_size
 
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
-
-(* Best-of-[n] wall clock: robust against one-off scheduler noise,
-   which dwarfs everything else when worker domains oversubscribe a
-   small host. *)
-let best_of n f =
-  ignore (wall f) (* warmup: faults in lazy pages, spawns nothing *);
-  let best = ref infinity in
-  for _ = 1 to n do
-    best := Float.min !best (wall f)
-  done;
-  !best
-
 let sample ~target ~metric ~value ~unit_ ~runs =
   { Perf.target; metric; value; unit_; runs }
 
@@ -51,9 +35,14 @@ let run ?(quick = false) ?domains () =
   let domains =
     match domains with Some d -> Stdlib.max 1 d | None -> Pool.recommended_domains ()
   in
-  let reps = if quick then 3 else 5 in
+  let min_time = if quick then 0.05 else 0.25 in
   let samples = ref [] in
   let push s = samples := s :: !samples in
+  (* Seconds per call and calls timed, on Perf's monotonic timer. *)
+  let seconds f =
+    let ns, runs = Perf.time_ns ~min_time f in
+    (ns /. 1e9, runs)
+  in
   (* Scale grid point: [shards] independent EMS instances behind one
      gate, each doorbell round's per-shard drains fanned over the
      pool. The MEE pipelines of enclave setup ride the same pool. *)
@@ -67,16 +56,16 @@ let run ?(quick = false) ?domains () =
       failwith "Parallel_bench: invariant violations in scale point";
     if p.Scale.ok <> ops then failwith "Parallel_bench: scale point dropped requests"
   in
-  let seq_s = best_of reps (point ~domains:1) in
-  let par_s = best_of reps (point ~domains) in
+  let seq_s, seq_runs = seconds (point ~domains:1) in
+  let par_s, par_runs = seconds (point ~domains) in
   push
     (sample ~target:"scale-point/domains=1" ~metric:"wall-clock" ~value:seq_s ~unit_:"s"
-       ~runs:reps);
+       ~runs:seq_runs);
   push
     (sample
        ~target:(Printf.sprintf "scale-point/domains=%d" domains)
-       ~metric:"wall-clock" ~value:par_s ~unit_:"s" ~runs:reps);
-  push (speedup ~target:"scale-point" ~baseline:seq_s ~parallel:par_s ~runs:reps);
+       ~metric:"wall-clock" ~value:par_s ~unit_:"s" ~runs:par_runs);
+  push (speedup ~target:"scale-point" ~baseline:seq_s ~parallel:par_s ~runs:par_runs);
   (* MEE bulk pipelines: encrypt+MAC (and verify+decrypt) a batch of
      pages per call, sequentially vs fanned over a pool. *)
   let pages = if quick then 48 else 192 in
@@ -99,39 +88,39 @@ let run ?(quick = false) ?domains () =
       let mee_seq, mem_seq = make_engine ~pool:None in
       let mee_par, mem_par = make_engine ~pool in
       let bench_rw name mee mem =
-        let write_s = best_of reps (fun () -> Mee.write_pages mee mem ~key_id:1 batch) in
+        let write_s, write_runs =
+          seconds (fun () -> Mee.write_pages mee mem ~key_id:1 batch)
+        in
         (* Cold reads flush the verified-line cache each rep so every
            page really re-runs the MAC; hot reads ride the cache
            (AES-only) — the spread is what the cache buys in bulk. *)
-        let read_s =
-          best_of reps (fun () ->
+        let read_s, read_runs =
+          seconds (fun () ->
               Mee.flush_mac_cache mee;
               ignore (Mee.read_pages mee mem ~key_id:1 frames))
         in
-        let read_hot_s =
-          best_of reps (fun () -> ignore (Mee.read_pages mee mem ~key_id:1 frames))
+        let read_hot_s, read_hot_runs =
+          seconds (fun () -> ignore (Mee.read_pages mee mem ~key_id:1 frames))
         in
         let mb s = float_of_int bytes /. s /. 1e6 in
         push
           (sample
              ~target:(Printf.sprintf "mee-write-pages/%s" name)
-             ~metric:"throughput" ~value:(mb write_s) ~unit_:"MB/s" ~runs:reps);
+             ~metric:"throughput" ~value:(mb write_s) ~unit_:"MB/s" ~runs:write_runs);
         push
           (sample
              ~target:(Printf.sprintf "mee-read-pages/%s" name)
-             ~metric:"throughput" ~value:(mb read_s) ~unit_:"MB/s" ~runs:reps);
+             ~metric:"throughput" ~value:(mb read_s) ~unit_:"MB/s" ~runs:read_runs);
         push
           (sample
              ~target:(Printf.sprintf "mee-read-pages-hot/%s" name)
-             ~metric:"throughput" ~value:(mb read_hot_s) ~unit_:"MB/s" ~runs:reps);
-        (write_s, read_s)
+             ~metric:"throughput" ~value:(mb read_hot_s) ~unit_:"MB/s" ~runs:read_hot_runs);
+        ((write_s, write_runs), (read_s, read_runs))
       in
-      let seq_w, seq_r = bench_rw "sequential" mee_seq mem_seq in
-      let par_w, par_r =
+      let (seq_w, _), (seq_r, _) = bench_rw "sequential" mee_seq mem_seq in
+      let (par_w, w_runs), (par_r, r_runs) =
         bench_rw (Printf.sprintf "pool=%d" domains) mee_par mem_par
       in
-      push (speedup ~target:"mee-write-pages" ~baseline:seq_w ~parallel:par_w ~runs:reps);
-      push (speedup ~target:"mee-read-pages" ~baseline:seq_r ~parallel:par_r ~runs:reps));
+      push (speedup ~target:"mee-write-pages" ~baseline:seq_w ~parallel:par_w ~runs:w_runs);
+      push (speedup ~target:"mee-read-pages" ~baseline:seq_r ~parallel:par_r ~runs:r_runs));
   List.rev !samples
-
-let print ?out samples = Perf.print ?out samples

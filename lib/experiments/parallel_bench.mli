@@ -17,7 +17,4 @@
 val run : ?quick:bool -> ?domains:int -> unit -> Perf.sample list
 (** [run ()] benchmarks with [domains] workers (default
     {!Hypertee_util.Domain_pool.recommended_domains}); [quick]
-    shrinks the workload sizes and repetition counts. *)
-
-val print : ?out:out_channel -> Perf.sample list -> unit
-(** Render the samples with {!Perf.print}'s table. *)
+    shrinks the workload sizes and the {!Perf.time_ns} window. *)

@@ -47,16 +47,20 @@ let host_info () =
     os_type = Sys.os_type;
   }
 
+(* Host time in seconds from the monotonic clock, which wall-clock
+   steps (NTP, suspend) cannot move. *)
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 (* Repeat [f] until at least [min_time] seconds elapse, growing the
    repetition count geometrically; returns (ns per call, calls). *)
 let time_ns ~min_time f =
   f () (* warmup, also JIT-free but faults in lazy pages/tables *);
   let rec go reps =
-    let t0 = Unix.gettimeofday () in
+    let t0 = now_s () in
     for _ = 1 to reps do
       f ()
     done;
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = now_s () -. t0 in
     if dt >= min_time then (dt *. 1e9 /. float_of_int reps, reps)
     else
       let guess =
@@ -233,9 +237,9 @@ let run ?(quick = false) ?min_time_s () =
   | Error m -> failwith m);
   let warm_create =
     timed_section ~target:"cloud-warm-create" (fun () ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = now_s () in
         let r = Hypertee.Sdk.warm_launch platform image in
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = now_s () -. t0 in
         (match r with
         | Ok (e, `Warm) -> (
           match Hypertee.Sdk.retire platform ~enclave:e with
@@ -247,9 +251,9 @@ let run ?(quick = false) ?min_time_s () =
   in
   let cold_create =
     timed_section ~target:"cloud-warm-create-reference" (fun () ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = now_s () in
         let r = Hypertee.Sdk.launch platform image in
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = now_s () -. t0 in
         (match r with
         | Ok enclave -> (
           match Hypertee.Sdk.destroy platform ~enclave with
@@ -344,10 +348,41 @@ let run ?(quick = false) ?min_time_s () =
              Bytes.blit pt 0 ref_out !off n;
              off := !off + n
            done));
+  (* Per-call host cost of three paths every enclave exercises: a
+     page-table lookup, a 64 B heap write+read through the MEE, and an
+     EALLOC+EFREE round trip through the gate and the runtime. *)
+  let platform_mem = Hypertee.Platform.mem platform in
+  let pt =
+    Hypertee_arch.Page_table.create platform_mem ~node_owner:Phys_mem.Cs_os
+      ~alloc:(Hypertee_arch.Page_table.default_alloc platform_mem)
+  in
+  Hypertee_arch.Page_table.map pt ~vpn:42
+    (Hypertee_arch.Pte.leaf ~ppn:3 ~r:true ~w:true ~x:false ~key_id:0);
+  push
+    (latency ~target:"pt-walk" ~min_time (fun () ->
+         ignore (Hypertee_arch.Page_table.lookup pt ~vpn:42)));
+  let session =
+    match Hypertee.Sdk.enter platform ~enclave:listener with
+    | Ok s -> s
+    | Error m -> failwith m
+  in
+  let small = Bytes.make 64 'z' in
+  let slot = ref 0 in
+  push
+    (latency ~target:"session-rw/64B" ~min_time (fun () ->
+         slot := (!slot + 1) mod 32;
+         let va = Hypertee.Session.heap_va session + (!slot * 64) in
+         Hypertee.Session.write session ~va small;
+         ignore (Hypertee.Session.read session ~va ~len:64)));
+  push
+    (latency ~target:"ealloc-efree/4pages" ~min_time (fun () ->
+         match Hypertee.Session.alloc session ~pages:4 with
+         | Ok va -> ignore (Hypertee.Session.free session ~va ~pages:4)
+         | Error e -> failwith (Hypertee_ems.Types.error_message e)));
   (* A fig6-style sweep end to end: wall-clock of the discrete-event
      simulation the paper figures are built from. *)
   let requests = if quick then 512 else 4096 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_s () in
   ignore
     (Fig6.run ~seed:0x516L ~cs_cores:4 ~ems_cores:2 ~ems_kind:Hypertee_arch.Config.Medium
        ~requests);
@@ -355,7 +390,7 @@ let run ?(quick = false) ?min_time_s () =
     {
       target = "fig6-sweep";
       metric = "wall-clock";
-      value = Unix.gettimeofday () -. t0;
+      value = now_s () -. t0;
       unit_ = "s";
       runs = requests;
     };

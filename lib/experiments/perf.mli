@@ -2,7 +2,8 @@
 
     Every other experiment reports modelled time; this one measures
     real elapsed time of the simulator's hot paths (AES-CTR pages,
-    SHA-256/SHA-3 hashing, the MEE round trip, Create_Enclave, and a
+    SHA-256/SHA-3 hashing, the MEE round trip, Create_Enclave, a
+    page-table walk, enclave heap access, EALLOC+EFREE, and a
     fig6-style sweep), so [BENCH_perf.json] tracks MB/s across PRs. *)
 
 type sample = {
@@ -24,6 +25,12 @@ type host = {
 }
 
 val host_info : unit -> host
+
+val time_ns : min_time:float -> (unit -> unit) -> float * int
+(** [time_ns ~min_time f] runs [f] once to warm up, then times
+    geometrically growing batches on the monotonic clock until one
+    lasts at least [min_time] seconds; returns (ns per call, calls in
+    that batch). The experiments' one host timer. *)
 
 val run : ?quick:bool -> ?min_time_s:float -> unit -> sample list
 (** Run the full suite. [quick] shortens the per-target measurement

@@ -142,8 +142,7 @@ let headers =
 
 let aligns = Hypertee_util.Table.[ Right; Right; Right; Right; Right; Right; Right; Right ]
 
-let print ?out ~seed ?(domains = 1) ?(ops = default_ops) () =
-  let batch_points, shard_points = run ~seed ~domains ~ops () in
+let print ?out (batch_points, shard_points) =
   let say fmt =
     match out with
     | None -> Printf.printf fmt

@@ -57,8 +57,8 @@ val shard_sweep :
 (** Both sweeps: [(batch_points, shard_points)]. *)
 val run : seed:int64 -> ?domains:int -> ?ops:int -> unit -> point list * point list
 
-(** Render both sweeps as tables to [out] (default stdout). *)
-val print : ?out:out_channel -> seed:int64 -> ?domains:int -> ?ops:int -> unit -> unit
+(** Render both sweeps of {!run} as tables to [out] (default stdout). *)
+val print : ?out:out_channel -> point list * point list -> unit
 
 (** {2 Hot-shard rebalancing}
 

@@ -150,7 +150,7 @@ let run ?(out = stdout) ?(quick = false) ?(seed = 0x7ACEL) ?(path = "trace.json"
 (* A mixed management workload against a sharded platform, reported
    through the metrics registry: the one-stop "what did the platform
    do" view (every subsystem publishes under its prefix). *)
-let metrics ?(out = stdout) ?(seed = 0x3E7121C5L) ?(ops = 400) ?json () =
+let metrics ?(out = stdout) ~seed ~ops () =
   let config = { Config.default with Config.ems_shards = 2 } in
   let platform = Platform.create ~seed ~config () in
   let enclaves =
@@ -188,13 +188,6 @@ let metrics ?(out = stdout) ?(seed = 0x3E7121C5L) ?(ops = 400) ?json () =
   Printf.fprintf out "platform metrics after %d mixed primitives on %d shard(s), seed=%Ld\n"
     ops (Platform.shard_count platform) seed;
   output_string out (Metrics.render registry);
-  (match json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Metrics.to_json registry);
-    close_out oc;
-    Printf.fprintf out "wrote metrics JSON to %s\n" path);
   let report = Platform.check platform in
   if not (Hypertee_check.Invariant.ok report) then
     failwith ("Tracing.metrics: " ^ Hypertee_check.Invariant.report_to_string report);

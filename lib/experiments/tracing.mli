@@ -1,6 +1,5 @@
 (** Traced experiment runs and the platform metrics report — the
-    backing for [hypertee trace] / [hypertee metrics] and for
-    [bench/main.exe trace].
+    backing for [hypertee trace] and [hypertee metrics].
 
     {!run} installs a fresh {!Hypertee_obs.Trace} tracer, replays a
     scaled-down version of one of the repo's experiments under it,
@@ -47,14 +46,7 @@ val run :
   target ->
   Hypertee_obs.Trace.t
 
-(** [metrics ?out ?seed ?ops ?json ()] — run [ops] mixed primitives
-    on a fresh 2-shard platform, then render the full metrics
-    registry to [out]; [json] additionally writes the registry as
-    JSON to that path. Returns the registry. *)
-val metrics :
-  ?out:out_channel ->
-  ?seed:int64 ->
-  ?ops:int ->
-  ?json:string ->
-  unit ->
-  Hypertee_obs.Metrics.t
+(** [metrics ?out ~seed ~ops ()] — run [ops] mixed primitives on a
+    fresh 2-shard platform, then render the full metrics registry to
+    [out]. Returns the registry. *)
+val metrics : ?out:out_channel -> seed:int64 -> ops:int -> unit -> Hypertee_obs.Metrics.t

@@ -19,8 +19,7 @@ let run ?until t =
   let continue = ref true in
   while !continue do
     (* Peek before popping: an event beyond [until] stays queued, so
-       windowed execution ([Engine_group]) can resume exactly where
-       this window stopped. *)
+       a later [run] resumes exactly where this one stopped. *)
     match Event_queue.peek_time t.queue with
     | None -> continue := false
     | Some time -> (
@@ -37,8 +36,6 @@ let run ?until t =
         f t)
   done;
   t.clock
-
-let next_time t = Event_queue.peek_time t.queue
 
 let processed t = t.processed
 

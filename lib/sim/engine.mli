@@ -22,12 +22,8 @@ val after : t -> delay:float -> (t -> unit) -> unit
 (** Run until no events remain or [until] (if given) is passed.
     Returns the final time. An event scheduled beyond [until] stays
     queued (the clock parks at [until]); a later [run] resumes with
-    it — the property windowed execution ({!Engine_group}) relies
-    on. *)
+    it. *)
 val run : ?until:float -> t -> float
-
-(** Timestamp of the earliest pending event, if any. *)
-val next_time : t -> float option
 
 (** Number of events processed so far. *)
 val processed : t -> int

@@ -310,6 +310,11 @@ let test_perf_run_and_json () =
       "chan-record-seal";
       "cloud-warm-create";
     ];
+  List.iter
+    (fun target ->
+      check Alcotest.bool (target ^ " latency present") true
+        (Perf.find samples ~target ~metric:"latency" <> None))
+    [ "pt-walk"; "session-rw/64B"; "ealloc-efree/4pages" ];
   (* Every speedup-vs-reference ratio must compare like with like:
      its two sides are the samples [target] and [target-reference],
      and both must exist and measure the same unit of work (same

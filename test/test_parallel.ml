@@ -1,14 +1,12 @@
 (* Tests for the domain-parallel execution machinery: the worker
-   pool, the execution-mode switch, the windowed parallel DES, the
-   MEE bulk pipelines, domain-safe observability, and — the headline
+   pool, the execution-mode switch, the MEE bulk pipelines,
+   domain-safe observability, and — the headline
    property — that Parallel mode is observationally identical to
    Deterministic mode at the same seed. *)
 
 open Hypertee
 module Pool = Hypertee_util.Domain_pool
 module Exec = Hypertee_sim.Exec
-module Engine = Hypertee_sim.Engine
-module Engine_group = Hypertee_sim.Engine_group
 module Mee = Hypertee_arch.Mem_encryption
 module Phys_mem = Hypertee_arch.Phys_mem
 module Config = Hypertee_arch.Config
@@ -105,115 +103,6 @@ let test_exec_strings () =
   | Some s ->
     check Alcotest.bool "env override wins" true
       (Exec.resolve ~requested:Exec.Deterministic = Option.get (Exec.of_string s))
-
-(* {2 Windowed engine group} *)
-
-(* One scenario, two modes: every member keeps its own event log (the
-   domain-confinement rule the protocol is built on), handlers hop
-   work across members through [send], and the logs, clocks and
-   counters must come out identical. *)
-let run_group_scenario mode =
-  let members = 3 in
-  let group = Engine_group.create ~mode ~members () in
-  let logs = Array.init members (fun _ -> ref []) in
-  let record i e tag = logs.(i) := (Engine.now e, tag) :: !(logs.(i)) in
-  for i = 0 to members - 1 do
-    Engine_group.at group ~member:i
-      ~time:(float_of_int (10 * (i + 1)))
-      (fun e ->
-        record i e (100 + i);
-        Engine.after e ~delay:55. (fun e -> record i e (150 + i));
-        (* Two-hop cascade: i -> i+1 -> i+2 (mod members). *)
-        let dst = (i + 1) mod members in
-        Engine_group.send group ~src:i ~dst
-          ~time:(Engine.now e +. 300.)
-          (fun e ->
-            record dst e (200 + i);
-            let dst2 = (dst + 1) mod members in
-            Engine_group.send group ~src:dst ~dst:dst2
-              ~time:(Engine.now e +. 300.)
-              (fun e -> record dst2 e (300 + i))))
-  done;
-  (* External (pre-run) seeding also crosses the fabric. *)
-  Engine_group.send group ~dst:1 ~time:5. (fun e -> record 1 e 999);
-  let clock = Engine_group.run group in
-  Engine_group.shutdown group;
-  ( Array.map (fun l -> List.rev !l) logs,
-    clock,
-    Engine_group.processed group,
-    Engine_group.delivered group,
-    Engine_group.windows group )
-
-let test_group_basics () =
-  let logs, clock, processed, delivered, windows =
-    run_group_scenario Exec.Deterministic
-  in
-  check Alcotest.int "every event ran" 13 processed;
-  check Alcotest.int "every message crossed" 7 delivered;
-  check Alcotest.bool "multiple barrier rounds" true (windows > 1);
-  check Alcotest.bool "clock past the longest cascade" true (clock >= 600.);
-  (* Cross-member deliveries are floored to window boundaries, so no
-     message may arrive before its nominal send time. *)
-  Array.iteri
-    (fun i log ->
-      List.iter
-        (fun (t, tag) ->
-          if tag >= 200 && tag < 400 then
-            check Alcotest.bool
-              (Printf.sprintf "member %d tag %d respects fabric latency" i tag)
-              true (t >= 300.))
-        log)
-    logs
-
-let test_group_mode_equivalence () =
-  let d = run_group_scenario Exec.Deterministic in
-  let p = run_group_scenario (Exec.Parallel { domains = 4 }) in
-  let logs_d, clock_d, processed_d, delivered_d, windows_d = d in
-  let logs_p, clock_p, processed_p, delivered_p, windows_p = p in
-  check Alcotest.int "processed identical" processed_d processed_p;
-  check Alcotest.int "delivered identical" delivered_d delivered_p;
-  check Alcotest.int "windows identical" windows_d windows_p;
-  check (Alcotest.float 0.0) "clock identical" clock_d clock_p;
-  Array.iteri
-    (fun i log_d ->
-      check
-        Alcotest.(list (pair (float 0.0) int))
-        (Printf.sprintf "member %d log identical" i)
-        log_d logs_p.(i))
-    logs_d
-
-let test_group_ping_pong () =
-  let rounds = 16 in
-  let group = Engine_group.create ~mode:(Exec.Parallel { domains = 2 }) ~members:2 () in
-  let count = ref 0 in
-  let rec volley src e =
-    incr count;
-    if !count < 2 * rounds then
-      Engine_group.send group ~src ~dst:(1 - src)
-        ~time:(Engine.now e +. 100.)
-        (volley (1 - src))
-  in
-  Engine_group.at group ~member:0 ~time:0. (volley 0);
-  let clock = Engine_group.run group in
-  Engine_group.shutdown group;
-  check Alcotest.int "every volley returned" (2 * rounds) !count;
-  check Alcotest.bool "terminated with a sane clock" true (clock > 0.);
-  check Alcotest.bool "no message left behind" false (Engine_group.inboxes_pending group)
-
-let test_group_until_parks () =
-  let group = Engine_group.create ~mode:Exec.Deterministic ~members:2 () in
-  Engine_group.at group ~member:0 ~time:50. (fun _ -> ());
-  Engine_group.at group ~member:1 ~time:5000. (fun _ -> ());
-  let clock = Engine_group.run ~until:1000. group in
-  check Alcotest.bool "parked at the limit" true (clock <= 1000.);
-  check Alcotest.int "early event ran" 1 (Engine_group.processed group);
-  check
-    Alcotest.(option (float 0.0))
-    "late event retained" (Some 5000.)
-    (Engine_group.next_event_time group);
-  let clock = Engine_group.run group in
-  check (Alcotest.float 0.0) "resumed to completion" 5000. clock;
-  Engine_group.shutdown group
 
 (* {2 MEE bulk pipelines} *)
 
@@ -397,14 +286,6 @@ let suite =
       ] );
     ( "parallel.exec",
       [ Alcotest.test_case "mode parsing and resolution" `Quick test_exec_strings ] );
-    ( "parallel.engine_group",
-      [
-        Alcotest.test_case "windowed protocol basics" `Quick test_group_basics;
-        Alcotest.test_case "parallel == deterministic schedule" `Quick
-          test_group_mode_equivalence;
-        Alcotest.test_case "cross-member ping pong terminates" `Quick test_group_ping_pong;
-        Alcotest.test_case "until parks and resumes" `Quick test_group_until_parks;
-      ] );
     ( "parallel.mee",
       [ Alcotest.test_case "bulk pipeline == scalar loop" `Quick test_mee_bulk_matches_scalar ] );
     ( "parallel.obs",

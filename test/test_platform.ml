@@ -81,6 +81,39 @@ let test_add_after_measure_rejected () =
   | Ok (Types.Err (Types.Bad_state _)) -> ()
   | _ -> Alcotest.fail "EADD after EMEAS must be rejected (TOCTOU defense)"
 
+(* Regression: Sdk.enter/resume once looked enclaves up only in shard
+   0's runtime, so every enclave routed to shard 1 failed with
+   "enclave vanished after EENTER". *)
+let test_enter_on_every_shard () =
+  let config = { Hypertee_arch.Config.default with Hypertee_arch.Config.ems_shards = 2 } in
+  let platform = Platform.create ~seed:0x5A4DL ~config () in
+  let image shard =
+    Sdk.image_of_code ~code:(Bytes.of_string (Printf.sprintf "shard %d code" shard))
+      ~data:Bytes.empty ()
+  in
+  let entered =
+    List.map
+      (fun shard ->
+        let enclave, session = launch_and_enter ~image:(image shard) platform in
+        check Alcotest.int "routed to its shard" shard (Platform.shard_of_enclave platform enclave);
+        let secret = Bytes.of_string (Printf.sprintf "heap of shard %d" shard) in
+        Session.write session ~va:(Session.heap_va session) secret;
+        check Alcotest.bytes "heap round trip" secret
+          (Session.read session ~va:(Session.heap_va session) ~len:(Bytes.length secret));
+        (enclave, secret))
+      [ 0; 1 ]
+  in
+  let enclave, secret = List.nth entered 1 in
+  let module Traps = Hypertee_cs.Traps in
+  (match Traps.deliver (Platform.traps platform) ~enclave ~pc:0x40 Traps.Timer_interrupt with
+  | Traps.Suspended_to_os -> ()
+  | _ -> Alcotest.fail "timer must park the shard-1 enclave");
+  match Sdk.resume platform ~enclave with
+  | Error m -> Alcotest.failf "resume on shard 1: %s" m
+  | Ok session ->
+    check Alcotest.bytes "heap survives the resume" secret
+      (Session.read session ~va:(Session.heap_va session) ~len:(Bytes.length secret))
+
 let test_exit_and_reenter () =
   let platform = fresh () in
   let enclave, session = launch_and_enter platform in
@@ -398,6 +431,7 @@ let suite =
         Alcotest.test_case "enter requires measurement" `Quick test_enter_requires_measurement;
         Alcotest.test_case "EADD after EMEAS rejected" `Quick test_add_after_measure_rejected;
         Alcotest.test_case "exit and re-enter" `Quick test_exit_and_reenter;
+        Alcotest.test_case "enter on every shard" `Quick test_enter_on_every_shard;
         Alcotest.test_case "destroy reclaims everything" `Quick test_destroy_reclaims_everything;
         Alcotest.test_case "destroyed enclave unreachable" `Quick test_operations_on_destroyed_enclave;
         Alcotest.test_case "multiple enclaves coexist" `Quick test_multiple_enclaves_coexist;
