@@ -8,13 +8,16 @@ build:
 test: build
 	dune runtest
 
-# The whole suite again with every platform forced into parallel mode
-# (4 worker domains, HYPERTEE_EXEC override): parallel execution is
-# bit-identical to deterministic mode by construction, so the exact
-# same assertions must hold. --force because dune caches runtest
-# results per build, not per environment.
+# The simulator suite (test/) again with every platform forced into
+# parallel mode (4 worker domains, HYPERTEE_EXEC override): parallel
+# execution is bit-identical to deterministic mode by construction,
+# so the exact same assertions must hold. The perfbench/ self-tests
+# are left out on purpose: the benchmark refuses any
+# non-deterministic exec mode by contract, and `test` already runs
+# them. --force because dune caches runtest results per build, not
+# per environment.
 test-parallel: build
-	HYPERTEE_EXEC=parallel:4 dune runtest --force
+	HYPERTEE_EXEC=parallel:4 dune build @test/runtest --force
 
 # The deterministic sweep at CI size: every paper table and figure
 # (Tables I-VI, Figs. 6-12, ablations), then the chaos and scale

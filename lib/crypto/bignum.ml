@@ -1,7 +1,10 @@
 (* Naturals in base 2^26. Limb i holds bits [26*i, 26*(i+1)).
    Invariant: no trailing zero limbs (canonical form), so zero is the
-   empty array. Schoolbook algorithms throughout: the attestation
-   stack uses 256–512 bit operands, where asymptotics do not pay. *)
+   empty array. Schoolbook multiplication and Knuth division: the
+   attestation stack uses 256–512 bit operands, where asymptotics do
+   not pay. Modular exponentiation by an odd modulus runs in
+   Montgomery form, which replaces the division after every product
+   with a multiply-accumulate pass. *)
 
 let limb_bits = 26
 let limb_mask = (1 lsl limb_bits) - 1
@@ -26,26 +29,23 @@ let of_int v =
   let rec limbs v = if v = 0 then [] else (v land limb_mask) :: limbs (v lsr limb_bits) in
   Array.of_list (limbs v)
 
-let to_int a =
-  let bits = Array.length a * limb_bits in
-  if bits > 62 && Array.length a > 0 then begin
-    (* Allow values that still fit even with a high top limb. *)
-    let v = ref 0 in
-    Array.iteri
-      (fun i limb ->
-        let shifted = limb lsl (limb_bits * i) in
-        if i * limb_bits >= 62 && limb <> 0 then failwith "Bignum.to_int: overflow";
-        v := !v lor shifted)
-      a;
-    !v
-  end
+let bit_length a =
+  let n = Array.length a in
+  if n = 0 then 0
   else begin
-    let v = ref 0 in
-    for i = Array.length a - 1 downto 0 do
-      v := (!v lsl limb_bits) lor a.(i)
-    done;
-    !v
+    let top = a.(n - 1) in
+    let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
+    ((n - 1) * limb_bits) + width top 0
   end
+
+let to_int a =
+  (* max_int = 2^62 - 1: anything wider would wrap. *)
+  if bit_length a > 62 then failwith "Bignum.to_int: overflow";
+  let v = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    v := (!v lsl limb_bits) lor a.(i)
+  done;
+  !v
 
 let compare (a : t) (b : t) =
   let la = Array.length a and lb = Array.length b in
@@ -60,15 +60,6 @@ let compare (a : t) (b : t) =
   end
 
 let equal a b = compare a b = 0
-
-let bit_length a =
-  let n = Array.length a in
-  if n = 0 then 0
-  else begin
-    let top = a.(n - 1) in
-    let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
-    ((n - 1) * limb_bits) + width top 0
-  end
 
 let add a b =
   let la = Array.length a and lb = Array.length b in
@@ -258,7 +249,7 @@ let divmod a b =
 
 let rem a b = snd (divmod a b)
 
-let mod_pow ~base ~exp ~modulus =
+let mod_pow_reference ~base ~exp ~modulus =
   if is_zero modulus then raise Division_by_zero;
   if equal modulus one then zero
   else begin
@@ -271,6 +262,113 @@ let mod_pow ~base ~exp ~modulus =
     done;
     !result
   end
+
+(* --- Montgomery exponentiation (odd moduli) ---
+
+   For an n-limb odd modulus m and R = 2^(26n), Montgomery form holds
+   x as x*R mod m, and [mont_mul] returns a*b*R^-1 mod m without a
+   division: for each limb of a it adds a_i*b plus the multiple q*m
+   that zeroes the low limb, then drops that limb (CIOS, with the
+   product and reduction loops fused). Every operand is exactly n
+   limbs, zero-padded, and below m. *)
+
+let[@inline always] ( .%() ) (a : int array) i = Array.unsafe_get a i
+let[@inline always] ( .%()<- ) (a : int array) i v = Array.unsafe_set a i v
+
+(* -m0^-1 mod 2^26 for odd m0 by Newton's iteration: x*m0 = 1 mod 2^k
+   gives x*(2 - m0*x)*m0 = 1 mod 2^2k, and x = m0 is right mod 2^3.
+   Products may wrap mod 2^63; the low 26 bits survive. *)
+let neg_inv_limb m0 =
+  let x = ref m0 in
+  for _ = 1 to 4 do
+    x := !x * (2 - (m0 * !x)) land limb_mask
+  done;
+  -(!x) land limb_mask
+
+(* dst <- a*b*R^-1 mod m. [t] is n+1 limbs of scratch and the result
+   is only copied out at the end, so [dst] may alias [a] or [b]. *)
+let mont_mul ~m ~minv ~t dst a b =
+  let n = Array.length m in
+  Array.fill t 0 (n + 1) 0;
+  for i = 0 to n - 1 do
+    let ai = a.%(i) in
+    let s = t.%(0) + (ai * b.%(0)) in
+    (* s * minv may wrap; only its low limb is used. Limb products
+       are < 2^52, so every sum below stays under 2^54. *)
+    let q = s * minv land limb_mask in
+    let c = ref ((s + (q * m.%(0))) lsr limb_bits) in
+    for j = 1 to n - 1 do
+      let s = t.%(j) + (ai * b.%(j)) + (q * m.%(j)) + !c in
+      t.%(j - 1) <- s land limb_mask;
+      c := s lsr limb_bits
+    done;
+    let s = t.%(n) + !c in
+    t.%(n - 1) <- s land limb_mask;
+    t.%(n) <- s lsr limb_bits
+  done;
+  (* t < 2m: subtract m at most once. *)
+  let j = ref (n - 1) in
+  while !j >= 0 && t.%(!j) = m.%(!j) do
+    decr j
+  done;
+  if t.%(n) <> 0 || !j < 0 || t.%(!j) > m.%(!j) then begin
+    let borrow = ref 0 in
+    for i = 0 to n - 1 do
+      let d = t.%(i) - m.%(i) - !borrow in
+      dst.%(i) <- d land limb_mask;
+      borrow := -(d asr limb_bits)
+    done
+  end
+  else Array.blit t 0 dst 0 n
+
+(* Bits [pos, pos + 4) of e; a window may straddle two limbs. *)
+let window e pos =
+  let limb = pos / limb_bits and off = pos mod limb_bits in
+  let len = Array.length e in
+  let lo = if limb < len then e.(limb) lsr off else 0 in
+  let hi =
+    if off > limb_bits - 4 && limb + 1 < len then e.(limb + 1) lsl (limb_bits - off) else 0
+  in
+  (lo lor hi) land 15
+
+(* Left-to-right fixed 4-bit windows over a 16-entry table of base^k
+   in Montgomery form: per window, four squarings and (for a nonzero
+   digit) one multiply. All scratch is allocated here, per call. *)
+let mont_pow ~base ~exp ~modulus:m =
+  let n = Array.length m in
+  let minv = neg_inv_limb m.(0) in
+  let t = Array.make (n + 1) 0 in
+  let padded x =
+    let out = Array.make n 0 in
+    Array.blit x 0 out 0 (Array.length x);
+    out
+  in
+  let r2 = padded (rem (shift_left one (2 * limb_bits * n)) m) in
+  let one_m = padded one in
+  let table = Array.init 16 (fun _ -> Array.make n 0) in
+  mont_mul ~m ~minv ~t table.(0) one_m r2;
+  mont_mul ~m ~minv ~t table.(1) (padded (if compare base m >= 0 then rem base m else base)) r2;
+  for k = 2 to 15 do
+    mont_mul ~m ~minv ~t table.(k) table.(k - 1) table.(1)
+  done;
+  let windows = (bit_length exp + 3) / 4 in
+  let acc = Array.copy table.(window exp (4 * (windows - 1))) in
+  for w = windows - 2 downto 0 do
+    for _ = 1 to 4 do
+      mont_mul ~m ~minv ~t acc acc acc
+    done;
+    let digit = window exp (4 * w) in
+    if digit <> 0 then mont_mul ~m ~minv ~t acc acc table.(digit)
+  done;
+  mont_mul ~m ~minv ~t acc acc one_m;
+  normalize acc
+
+let mod_pow ~base ~exp ~modulus =
+  if is_zero modulus then raise Division_by_zero;
+  if equal modulus one then zero
+  else if is_zero exp then one
+  else if is_even modulus then mod_pow_reference ~base ~exp ~modulus
+  else mont_pow ~base ~exp ~modulus
 
 let gcd a b =
   let rec go a b = if is_zero b then a else go b (rem a b) in

@@ -5,7 +5,9 @@
     63-bit native ints. Provides exactly what the attestation stack
     needs: modular exponentiation for Diffie–Hellman and RSA-lite,
     Miller–Rabin for key generation, and modular inverse for RSA key
-    setup. Values are immutable. *)
+    setup. Multiplication is schoolbook and division is Knuth's
+    Algorithm D; {!mod_pow} by an odd modulus works in Montgomery
+    form. Values are immutable. *)
 
 type t
 
@@ -16,7 +18,8 @@ val two : t
 (** Conversions. [of_int] requires a non-negative argument. *)
 val of_int : int -> t
 
-(** [to_int] raises [Failure] if the value exceeds [max_int]. *)
+(** [to_int] raises [Failure] if the value exceeds [max_int]
+    (that is, if it needs more than 62 bits). *)
 val to_int : t -> int
 
 (** Big-endian byte-string conversions (leading zeros trimmed on
@@ -59,8 +62,19 @@ val testbit : t -> int -> bool
 
 val is_even : t -> bool
 
-(** [mod_pow ~base ~exp ~modulus] by square-and-multiply. *)
+(** [mod_pow ~base ~exp ~modulus] is [base^exp mod modulus]; raises
+    [Division_by_zero] on a zero modulus. An odd modulus (every RSA
+    prime and modulus, the DH prime) takes Montgomery multiplication
+    (CIOS) with fixed 4-bit exponent windows, so no product is ever
+    divided; its scratch is allocated per call. An even modulus falls
+    back to {!mod_pow_reference}. Both paths return the same value. *)
 val mod_pow : base:t -> exp:t -> modulus:t -> t
+
+(** [mod_pow_reference ~base ~exp ~modulus] is the same function by
+    right-to-left square-and-multiply, with a full {!divmod} after
+    every product. Kept as the test oracle and performance baseline
+    for {!mod_pow}, and used by it for even moduli. *)
+val mod_pow_reference : base:t -> exp:t -> modulus:t -> t
 
 (** [mod_inv a m] is the inverse of [a] modulo [m]; [None] when
     [gcd a m <> 1]. *)

@@ -2,9 +2,10 @@
 
     Every other experiment reports modelled time; this one measures
     real elapsed time of the simulator's hot paths (AES-CTR pages,
-    SHA-256/SHA-3 hashing, the MEE round trip, Create_Enclave, a
-    page-table walk, enclave heap access, EALLOC+EFREE, and a
-    fig6-style sweep), so [BENCH_perf.json] tracks MB/s across PRs. *)
+    SHA-256/SHA-3 hashing, RSA signing, the MEE round trip,
+    Create_Enclave, a page-table walk, enclave heap access,
+    EALLOC+EFREE, and a fig6-style sweep), so [BENCH_perf.json]
+    tracks MB/s across PRs. *)
 
 type sample = {
   target : string;  (** what was measured, e.g. ["aes-ctr-page"] *)

@@ -338,6 +338,100 @@ let test_mod_pow () =
   check Alcotest.int "modpow" !expected
     (Bignum.to_int (Bignum.mod_pow ~base:(bn 3) ~exp:(bn 200) ~modulus:(bn m)))
 
+let test_to_int_overflow () =
+  check Alcotest.int "max_int" max_int (Bignum.to_int (bn max_int));
+  List.iter
+    (fun (name, v) ->
+      Alcotest.check_raises name (Failure "Bignum.to_int: overflow") (fun () ->
+          ignore (Bignum.to_int v)))
+    [
+      ("2^62", Bignum.shift_left Bignum.one 62);
+      ("2^63 - 1", Bignum.sub (Bignum.shift_left Bignum.one 63) Bignum.one);
+      ("2^78 - 1", Bignum.sub (Bignum.shift_left Bignum.one 78) Bignum.one);
+      ("2^100", Bignum.shift_left Bignum.one 100);
+    ]
+
+(* mod_pow (Montgomery for odd moduli) against the square-and-multiply
+   oracle. *)
+let pow2 k = Bignum.shift_left Bignum.one k
+
+let mod_pow_agrees ~base ~exp ~modulus =
+  Bignum.equal (Bignum.mod_pow ~base ~exp ~modulus) (Bignum.mod_pow_reference ~base ~exp ~modulus)
+
+(* Every k-limb modulus shape at the limb boundaries, k = 1..24:
+   2^(26k) - 1 (all limbs full), 2^(26(k-1)) + 1 (2^26 + 1 at k = 2)
+   and the even 2^(26k-1); bases at and around the modulus. *)
+let test_mod_pow_limb_boundaries () =
+  let r = rng () in
+  let moduli =
+    List.concat_map
+      (fun k ->
+        [
+          Bignum.sub (pow2 (26 * k)) Bignum.one;
+          Bignum.add (pow2 (26 * (k - 1))) Bignum.one;
+          pow2 ((26 * k) - 1);
+        ])
+      (List.init 24 (fun i -> i + 1))
+  in
+  List.iter
+    (fun modulus ->
+      let bases =
+        [
+          Bignum.zero;
+          Bignum.one;
+          Bignum.sub modulus Bignum.one;
+          modulus;
+          Bignum.add modulus Bignum.one;
+          Bignum.add (Bignum.mul modulus Bignum.two) (bn 3);
+          Bignum.random_below r modulus;
+        ]
+      in
+      let exps = [ Bignum.zero; Bignum.one; Bignum.two; bn 65537; Bignum.random r ~bits:96 ] in
+      List.iter
+        (fun base ->
+          List.iter
+            (fun exp ->
+              if not (mod_pow_agrees ~base ~exp ~modulus) then
+                Alcotest.failf "mod_pow %s^%s mod %s" (Bignum.to_hex base) (Bignum.to_hex exp)
+                  (Bignum.to_hex modulus))
+            exps)
+        bases)
+    moduli
+
+let prop_mod_pow_matches_reference =
+  prop
+    (QCheck.Test.make ~name:"mod_pow = mod_pow_reference (1-24 limbs)" ~count:300
+       QCheck.(int_bound 1_000_000)
+       (fun seed ->
+         let r = Hypertee_util.Xrng.create (Int64.of_int seed) in
+         let pick n = Hypertee_util.Xrng.int r n in
+         let modulus =
+           if pick 4 = 0 then bn (1 + pick 1000)
+           else begin
+             let limbs = 1 + pick 24 in
+             let top = pow2 ((26 * limbs) - 1) in
+             let m = Bignum.add top (Bignum.random r ~bits:((26 * limbs) - 1)) in
+             match (pick 2, Bignum.is_even m) with
+             | 0, true -> Bignum.add m Bignum.one
+             | 1, false -> Bignum.sub m Bignum.one
+             | _ -> m
+           end
+         in
+         let base =
+           match pick 4 with
+           | 0 -> Bignum.zero
+           | 1 -> Bignum.random_below r modulus
+           | 2 -> Bignum.add modulus (Bignum.random_below r modulus)
+           | _ -> Bignum.random r ~bits:(Bignum.bit_length modulus + 1 + pick 64)
+         in
+         let exp =
+           match pick 4 with
+           | 0 -> Bignum.zero
+           | 1 -> Bignum.one
+           | _ -> Bignum.random r ~bits:(1 + pick 128)
+         in
+         mod_pow_agrees ~base ~exp ~modulus))
+
 let test_mod_inv () =
   let r = rng () in
   let p = Bignum.generate_prime r ~bits:48 in
@@ -416,6 +510,45 @@ let test_rsa_sign_verify () =
   let tampered = Bytes.copy s in
   Bytes.set tampered 10 (Char.chr (Char.code (Bytes.get tampered 10) lxor 1));
   check Alcotest.bool "tampered signature" false (Rsa.verify kp.Rsa.public ~msg ~signature:tampered)
+
+(* Known answer from the direct em^d mod n signer (no CRT): key
+   generation and signatures must not move. *)
+let test_rsa_known_answer () =
+  let kp = Rsa.generate (rng ()) in
+  check Alcotest.string "modulus"
+    "b240b096c93358cd34e41ed1f4395ef966ffdeab98c31c76f5f53613ca42c2d4ccd660ae4ce923a0f09b8a92a969c5c5ae130f8b04c9b15a5e6de02d6fdb99d1"
+    (Bignum.to_hex kp.Rsa.public.Rsa.n);
+  check Alcotest.string "signature"
+    "8da324a5047f87d4b745bf1f00351f4677c9123c52b5a9186790e37568fc2ba24ca89e267cb640c9765d80238083c589a40252a6c44d2a14ff550d16ae7221e9"
+    (hex (Rsa.sign kp (Bytes.of_string "HyperTEE EATTEST known answer")))
+
+let test_rsa_crt_matches_reference () =
+  List.iter
+    (fun seed ->
+      let kp = Rsa.generate (Hypertee_util.Xrng.create seed) in
+      List.iter
+        (fun msg ->
+          let msg = Bytes.of_string msg in
+          check Alcotest.bytes
+            (Printf.sprintf "seed %Ld, %d-byte message" seed (Bytes.length msg))
+            (Rsa.sign_reference kp msg) (Rsa.sign kp msg))
+        [ ""; "attest this enclave"; String.make 200 'x' ])
+    [ 1L; 2L; 3L; 0x5EEDL ]
+
+(* A fault in one CRT half must not release a signature: it would
+   hand out a factor of n. *)
+let test_rsa_fault_fails_closed () =
+  let kp = Rsa.generate (rng ()) in
+  let msg = Bytes.of_string "attest this enclave" in
+  List.iter
+    (fun (name, bad) ->
+      Alcotest.check_raises name (Failure "Rsa.sign: CRT signature failed verification")
+        (fun () -> ignore (Rsa.sign bad msg)))
+    [
+      ("corrupted dp", { kp with Rsa.dp = Bignum.add kp.Rsa.dp Bignum.one });
+      ("corrupted dq", { kp with Rsa.dq = Bignum.sub kp.Rsa.dq Bignum.one });
+      ("corrupted qinv", { kp with Rsa.qinv = Bignum.add kp.Rsa.qinv Bignum.one });
+    ]
 
 let test_rsa_wrong_key () =
   let r = rng () in
@@ -516,7 +649,9 @@ let suite =
         Alcotest.test_case "basics" `Quick test_bignum_basics;
         Alcotest.test_case "byte/hex roundtrips" `Quick test_bignum_bytes_roundtrip;
         Alcotest.test_case "divmod by zero" `Quick test_divmod_by_zero;
+        Alcotest.test_case "to_int overflow" `Quick test_to_int_overflow;
         Alcotest.test_case "mod_pow" `Quick test_mod_pow;
+        Alcotest.test_case "mod_pow limb boundaries" `Quick test_mod_pow_limb_boundaries;
         Alcotest.test_case "mod_inv" `Quick test_mod_inv;
         Alcotest.test_case "primality on known values" `Quick test_primality_known;
         Alcotest.test_case "generate_prime" `Quick test_generate_prime;
@@ -524,6 +659,7 @@ let suite =
         prop_ring_laws;
         prop_divmod;
         prop_shift;
+        prop_mod_pow_matches_reference;
       ] );
     ( "crypto.dh",
       [
@@ -536,6 +672,9 @@ let suite =
       [
         Alcotest.test_case "sign/verify" `Quick test_rsa_sign_verify;
         Alcotest.test_case "wrong key" `Quick test_rsa_wrong_key;
+        Alcotest.test_case "known answer" `Quick test_rsa_known_answer;
+        Alcotest.test_case "CRT = reference" `Quick test_rsa_crt_matches_reference;
+        Alcotest.test_case "CRT fault fails closed" `Quick test_rsa_fault_fails_closed;
         Alcotest.test_case "public serialization" `Quick test_rsa_public_serialization;
       ] );
     ("crypto.sigma", [ Alcotest.test_case "full flow" `Quick test_sigma_flow ]);

@@ -309,6 +309,7 @@ let test_perf_run_and_json () =
       "mee-store-load-page";
       "chan-record-seal";
       "cloud-warm-create";
+      "rsa-sign";
     ];
   List.iter
     (fun target ->
