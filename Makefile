@@ -1,4 +1,4 @@
-.PHONY: all build test test-parallel sweep chaos-smoke chaos-restart check-invariants conformance bench-perf bench-parallel bench-cloud check doc fmt clean
+.PHONY: all build test test-parallel sweep chaos-smoke chaos-restart check-invariants conformance bench-perf bench-parallel bench-cloud bench-smoke check doc fmt clean
 
 all: build
 
@@ -67,6 +67,28 @@ bench-parallel: build
 bench-cloud: build
 	dune exec bin/hypertee_cli.exe -- cloud --quick --out BENCH_cloud.json
 
+# One second of each benchmark workload (BENCHMARK.json) at seed 1,
+# run through perfbench/main.exe as the benchmark runs it. Fails if a
+# run exits nonzero (an invariant, oracle or ledger failure) or if a
+# workload's modelled_hash is not the pinned one: the modelled clock
+# is deterministic, so any other hash is a change to the model, to be
+# re-pinned here on purpose.
+BENCH_SMOKE_PINS = tenant-mix:e871f54b23d1f87c52cb0c78e507bf2e \
+	tenant-cold:32c4ba2083020b8a4564652f27fa56f0 \
+	channel-echo:db1fe693f24b05ff2befd0d74ead8a13
+
+bench-smoke: build
+	@for pin in $(BENCH_SMOKE_PINS); do \
+		w=$${pin%%:*}; want=$${pin#*:}; \
+		out=$$(./_build/default/perfbench/main.exe --workload $$w --seed 1 --seconds 1 --trace 0) \
+			|| { echo "bench-smoke: $$w exited nonzero" >&2; exit 1; }; \
+		got=$$(printf '%s\n' "$$out" | sed -n 's/.*modelled_hash=\([0-9a-f]*\).*/\1/p'); \
+		if [ "$$got" != "$$want" ]; then \
+			echo "bench-smoke: $$w modelled_hash=$$got, pinned $$want" >&2; exit 1; \
+		fi; \
+		echo "bench-smoke: $$w modelled_hash=$$got ok"; \
+	done
+
 # Differential oracle + invariant sweep: replays a clean and a
 # fault-injected management workload under the EMCall oracle, then
 # runs a reduced explorer pass. Deterministic; exits non-zero on any
@@ -85,8 +107,9 @@ conformance: build
 # green in both execution modes, the deterministic sweep (paper
 # tables and figures, chaos and scale smoke) is clean, the rolling
 # restart recovers every shard with nothing lost, the oracle/invariant
-# pass holds, and the secure-channel conformance vectors all pass.
-check: build test test-parallel sweep chaos-restart check-invariants conformance
+# pass holds, the secure-channel conformance vectors all pass, and
+# the benchmark's seed-1 modelled hashes are the pinned ones.
+check: build test test-parallel sweep chaos-restart check-invariants conformance bench-smoke
 
 # API reference from the .mli doc comments, built with odoc into
 # _build/default/_doc/_html. Skips with a notice when odoc is absent,

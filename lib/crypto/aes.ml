@@ -218,75 +218,79 @@ let decrypt_block key src =
    ShiftRows rotation shows up as each output column sampling a byte
    from columns c, c+1, c+2, c+3 (mod 4). Written as a tail-recursive
    round function over native ints so a block encryption performs no
-   allocation at all; the four output words land in [out]. *)
+   allocation at all; the four output words land in [out].
+
+   Every table, round-key and [out] access below is unchecked, and
+   each is in range by construction: [key] is abstract and only
+   [expand] builds one, so [rk] always holds 44 words and rounds 1-10
+   read at most [rk.(43)]; every table index is masked with
+   [land 0xFF] into the 256-entry [te0..te3]/[sbox]; and [out] is
+   always a four-word domain-local scratch array. Callers check their
+   byte slices before entering. *)
+
+let[@inline always] ( .%() ) a i = Array.unsafe_get (a : int array) i
+let[@inline always] ( .%()<- ) a i v = Array.unsafe_set (a : int array) i v
 
 let rec rounds rk r s0 s1 s2 s3 (out : int array) =
   if r = 10 then begin
-    out.(0) <-
-      ((sbox.((s0 lsr 24) land 0xFF) lsl 24)
-      lor (sbox.((s1 lsr 16) land 0xFF) lsl 16)
-      lor (sbox.((s2 lsr 8) land 0xFF) lsl 8)
-      lor sbox.(s3 land 0xFF))
-      lxor rk.(40);
-    out.(1) <-
-      ((sbox.((s1 lsr 24) land 0xFF) lsl 24)
-      lor (sbox.((s2 lsr 16) land 0xFF) lsl 16)
-      lor (sbox.((s3 lsr 8) land 0xFF) lsl 8)
-      lor sbox.(s0 land 0xFF))
-      lxor rk.(41);
-    out.(2) <-
-      ((sbox.((s2 lsr 24) land 0xFF) lsl 24)
-      lor (sbox.((s3 lsr 16) land 0xFF) lsl 16)
-      lor (sbox.((s0 lsr 8) land 0xFF) lsl 8)
-      lor sbox.(s1 land 0xFF))
-      lxor rk.(42);
-    out.(3) <-
-      ((sbox.((s3 lsr 24) land 0xFF) lsl 24)
-      lor (sbox.((s0 lsr 16) land 0xFF) lsl 16)
-      lor (sbox.((s1 lsr 8) land 0xFF) lsl 8)
-      lor sbox.(s2 land 0xFF))
-      lxor rk.(43)
+    out.%(0) <-
+      ((sbox.%((s0 lsr 24) land 0xFF) lsl 24)
+      lor (sbox.%((s1 lsr 16) land 0xFF) lsl 16)
+      lor (sbox.%((s2 lsr 8) land 0xFF) lsl 8)
+      lor sbox.%(s3 land 0xFF))
+      lxor rk.%(40);
+    out.%(1) <-
+      ((sbox.%((s1 lsr 24) land 0xFF) lsl 24)
+      lor (sbox.%((s2 lsr 16) land 0xFF) lsl 16)
+      lor (sbox.%((s3 lsr 8) land 0xFF) lsl 8)
+      lor sbox.%(s0 land 0xFF))
+      lxor rk.%(41);
+    out.%(2) <-
+      ((sbox.%((s2 lsr 24) land 0xFF) lsl 24)
+      lor (sbox.%((s3 lsr 16) land 0xFF) lsl 16)
+      lor (sbox.%((s0 lsr 8) land 0xFF) lsl 8)
+      lor sbox.%(s1 land 0xFF))
+      lxor rk.%(42);
+    out.%(3) <-
+      ((sbox.%((s3 lsr 24) land 0xFF) lsl 24)
+      lor (sbox.%((s0 lsr 16) land 0xFF) lsl 16)
+      lor (sbox.%((s1 lsr 8) land 0xFF) lsl 8)
+      lor sbox.%(s2 land 0xFF))
+      lxor rk.%(43)
   end
   else begin
     let base = 4 * r in
     let t0 =
-      te0.((s0 lsr 24) land 0xFF) lxor te1.((s1 lsr 16) land 0xFF)
-      lxor te2.((s2 lsr 8) land 0xFF) lxor te3.(s3 land 0xFF) lxor rk.(base)
+      te0.%((s0 lsr 24) land 0xFF) lxor te1.%((s1 lsr 16) land 0xFF)
+      lxor te2.%((s2 lsr 8) land 0xFF) lxor te3.%(s3 land 0xFF) lxor rk.%(base)
     in
     let t1 =
-      te0.((s1 lsr 24) land 0xFF) lxor te1.((s2 lsr 16) land 0xFF)
-      lxor te2.((s3 lsr 8) land 0xFF) lxor te3.(s0 land 0xFF) lxor rk.(base + 1)
+      te0.%((s1 lsr 24) land 0xFF) lxor te1.%((s2 lsr 16) land 0xFF)
+      lxor te2.%((s3 lsr 8) land 0xFF) lxor te3.%(s0 land 0xFF) lxor rk.%(base + 1)
     in
     let t2 =
-      te0.((s2 lsr 24) land 0xFF) lxor te1.((s3 lsr 16) land 0xFF)
-      lxor te2.((s0 lsr 8) land 0xFF) lxor te3.(s1 land 0xFF) lxor rk.(base + 2)
+      te0.%((s2 lsr 24) land 0xFF) lxor te1.%((s3 lsr 16) land 0xFF)
+      lxor te2.%((s0 lsr 8) land 0xFF) lxor te3.%(s1 land 0xFF) lxor rk.%(base + 2)
     in
     let t3 =
-      te0.((s3 lsr 24) land 0xFF) lxor te1.((s0 lsr 16) land 0xFF)
-      lxor te2.((s1 lsr 8) land 0xFF) lxor te3.(s2 land 0xFF) lxor rk.(base + 3)
+      te0.%((s3 lsr 24) land 0xFF) lxor te1.%((s0 lsr 16) land 0xFF)
+      lxor te2.%((s1 lsr 8) land 0xFF) lxor te3.%(s2 land 0xFF) lxor rk.%(base + 3)
     in
     rounds rk (r + 1) t0 t1 t2 t3 out
   end
 
-let get_word b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
+(* Encrypt the block whose four big-endian words are [w0..w3],
+   leaving the four ciphertext words in [out]. *)
+let[@inline] encrypt4 rk w0 w1 w2 w3 out =
+  rounds rk 1 (w0 lxor rk.%(0)) (w1 lxor rk.%(1)) (w2 lxor rk.%(2)) (w3 lxor rk.%(3)) out
 
-(* Encrypt the block at [src+src_off], leaving the four ciphertext
-   words in [out]. *)
-let encrypt_words key src ~src_off (out : int array) =
-  let rk = key.rk in
-  rounds rk 1
-    (get_word src src_off lxor rk.(0))
-    (get_word src (src_off + 4) lxor rk.(1))
-    (get_word src (src_off + 8) lxor rk.(2))
-    (get_word src (src_off + 12) lxor rk.(3))
-    out
+let get_word b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
 
 (* Reused scratch for the block/CTR/CBC paths, one set per domain:
    keeps these paths allocation-free while letting the parallel MEE
    pipeline encrypt pages on every worker domain at once. *)
 type scratch = {
   block_words : int array;
-  ctr_counter : bytes;
   ctr_words : int array;
   page_nonce : bytes;
   cbc_block : bytes;
@@ -296,7 +300,6 @@ let scratch : scratch Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
         block_words = Array.make 4 0;
-        ctr_counter = Bytes.create 16;
         ctr_words = Array.make 4 0;
         page_nonce = Bytes.make 16 '\000';
         cbc_block = Bytes.create 16;
@@ -307,7 +310,8 @@ let encrypt_block_into key src ~src_off dst ~dst_off =
      || dst_off < 0 || dst_off + 16 > Bytes.length dst
   then invalid_arg "Aes.encrypt_block_into: block out of bounds";
   let block_words = (Domain.DLS.get scratch).block_words in
-  encrypt_words key src ~src_off block_words;
+  encrypt4 key.rk (get_word src src_off) (get_word src (src_off + 4))
+    (get_word src (src_off + 8)) (get_word src (src_off + 12)) block_words;
   Bytes.set_int32_be dst dst_off (Int32.of_int block_words.(0));
   Bytes.set_int32_be dst (dst_off + 4) (Int32.of_int block_words.(1));
   Bytes.set_int32_be dst (dst_off + 8) (Int32.of_int block_words.(2));
@@ -320,12 +324,11 @@ let encrypt_block key src =
   out
 
 (* --- CTR mode. The nonce seeds a 16-byte counter whose low 64 bits
-   increment big-endian per block. The counter and keystream words are
-   module-level scratch; [ctr_into] streams src -> dst (aliasing
-   allowed) without allocating. --- *)
+   increment big-endian per block. [ctr_into] streams src -> dst
+   (aliasing allowed) without allocating. --- *)
 
-(* Increment the low 64 bits of [counter] big-endian (one shared copy
-   of the bump logic; [ctr_reference] keeps its own verbatim). *)
+(* Increment the low 64 bits of [counter] big-endian, wrapping modulo
+   2^64 ([ctr_reference]'s counter). *)
 let bump counter =
   let rec go i =
     if i >= 8 then ()
@@ -337,19 +340,18 @@ let bump counter =
   in
   go 0
 
-(* Advance the low 64 bits by [n] blocks at once: identical to [n]
-   bumps since both wrap modulo 2^64. *)
-let advance counter n =
-  if n <> 0 then begin
-    let lo = Hypertee_util.Bytes_ext.get_u64_be counter 8 in
-    Hypertee_util.Bytes_ext.set_u64_be counter 8 (Int64.add lo (Int64.of_int n))
-  end
-
 (* XOR one keystream byte (big-endian position [i] within the block)
    into a single src byte. Used only for ragged head/tail bytes. *)
 let xor_byte ctr_words src src_i dst dst_i i =
   let ks = (ctr_words.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xFF in
   Bytes.set dst dst_i (Char.chr (Char.code (Bytes.get src src_i) lxor ks))
+
+let[@inline always] hi32 c = Int64.to_int (Int64.shift_right_logical c 32)
+let[@inline always] lo32 c = Int64.to_int c land 0xFFFFFFFF
+
+(* Keystream words [2h] and [2h+1] as one big-endian 64-bit half-block. *)
+let[@inline always] ks64 ks h =
+  Int64.logor (Int64.shift_left (Int64.of_int ks.%(2 * h)) 32) (Int64.of_int ks.%((2 * h) + 1))
 
 let ctr_into key ~nonce ?(stream_off = 0) ~src ~src_off ~dst ~dst_off len =
   if Bytes.length nonce <> 16 then invalid_arg "Aes.ctr: nonce must be 16 bytes";
@@ -357,42 +359,41 @@ let ctr_into key ~nonce ?(stream_off = 0) ~src ~src_off ~dst ~dst_off len =
      || src_off + len > Bytes.length src
      || dst_off + len > Bytes.length dst
   then invalid_arg "Aes.ctr_into: slice out of bounds";
-  let { ctr_counter; ctr_words; _ } = Domain.DLS.get scratch in
-  Bytes.blit nonce 0 ctr_counter 0 16;
-  advance ctr_counter (stream_off / 16);
+  let rk = key.rk and ks = (Domain.DLS.get scratch).ctr_words in
+  (* The counter block as words: the nonce's high half [n0, n1] is
+     fixed, its low 64 bits [ctr] stay a native int64 advanced once
+     per block. Int64 addition wraps modulo 2^64, exactly as [bump]
+     does, including the jump to the slice's first block. *)
+  let n0 = get_word nonce 0 and n1 = get_word nonce 4 in
+  let ctr = ref (Int64.add (Bytes.get_int64_be nonce 8) (Int64.of_int (stream_off / 16))) in
   let lead = stream_off mod 16 in
   let pos = ref 0 in
   (* Ragged head: keystream offset [lead] within the first block. *)
   if lead <> 0 && len > 0 then begin
-    encrypt_words key ctr_counter ~src_off:0 ctr_words;
-    bump ctr_counter;
+    encrypt4 rk n0 n1 (hi32 !ctr) (lo32 !ctr) ks;
+    ctr := Int64.succ !ctr;
     let n = Stdlib.min (16 - lead) len in
     for i = 0 to n - 1 do
-      xor_byte ctr_words src (src_off + i) dst (dst_off + i) (lead + i)
+      xor_byte ks src (src_off + i) dst (dst_off + i) (lead + i)
     done;
     pos := n
   end;
-  (* Full blocks: word-wise XOR. *)
+  (* Full blocks: two eight-byte XORs each. *)
   while len - !pos >= 16 do
-    encrypt_words key ctr_counter ~src_off:0 ctr_words;
-    bump ctr_counter;
+    let c = !ctr in
+    encrypt4 rk n0 n1 (hi32 c) (lo32 c) ks;
+    ctr := Int64.succ c;
     let s = src_off + !pos and d = dst_off + !pos in
-    Bytes.set_int32_be dst d
-      (Int32.logxor (Bytes.get_int32_be src s) (Int32.of_int ctr_words.(0)));
-    Bytes.set_int32_be dst (d + 4)
-      (Int32.logxor (Bytes.get_int32_be src (s + 4)) (Int32.of_int ctr_words.(1)));
-    Bytes.set_int32_be dst (d + 8)
-      (Int32.logxor (Bytes.get_int32_be src (s + 8)) (Int32.of_int ctr_words.(2)));
-    Bytes.set_int32_be dst (d + 12)
-      (Int32.logxor (Bytes.get_int32_be src (s + 12)) (Int32.of_int ctr_words.(3)));
+    Bytes.set_int64_be dst d (Int64.logxor (Bytes.get_int64_be src s) (ks64 ks 0));
+    Bytes.set_int64_be dst (d + 8) (Int64.logxor (Bytes.get_int64_be src (s + 8)) (ks64 ks 1));
     pos := !pos + 16
   done;
   (* Ragged tail. *)
   let rem = len - !pos in
   if rem > 0 then begin
-    encrypt_words key ctr_counter ~src_off:0 ctr_words;
+    encrypt4 rk n0 n1 (hi32 !ctr) (lo32 !ctr) ks;
     for i = 0 to rem - 1 do
-      xor_byte ctr_words src (src_off + !pos + i) dst (dst_off + !pos + i) i
+      xor_byte ks src (src_off + !pos + i) dst (dst_off + !pos + i) i
     done
   end
 

@@ -31,7 +31,9 @@ val decrypt_block : key -> bytes -> bytes
 val encrypt_block_into : key -> bytes -> src_off:int -> bytes -> dst_off:int -> unit
 
 (** CTR mode: encryption and decryption are the same operation. The
-    16-byte [nonce] seeds the counter; data of any length. *)
+    16-byte [nonce] seeds the counter; data of any length. The
+    counter's low 64 bits increment big-endian per block and wrap
+    modulo 2^64; its high 64 bits never change. *)
 val ctr : key -> nonce:bytes -> bytes -> bytes
 
 (** [ctr_into key ~nonce ?stream_off ~src ~src_off ~dst ~dst_off len]

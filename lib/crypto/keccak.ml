@@ -3,14 +3,16 @@
 
    Two permutations coexist, mirroring [Aes]:
 
-   - the *fast* path: each 64-bit lane is split into two 32-bit halves
-     held as immediate native ints (an [int64 array] stores a pointer
-     per element, so every lane store on the old path allocated a
-     boxed int64 — that boxing was the 10 MB/s integrity floor). The
-     round function is fully unrolled over all 25 lanes with constant
-     indices, so the permutation performs no allocation, no bounds
-     check and no [mod] indexing. This is the data plane behind the
-     memory-integrity engine's per-line MAC.
+   - the *fast* path: the state is 25 64-bit lanes in one 200-byte
+     [bytes] in FIPS 202 byte order (lane x + 5y little-endian at byte
+     8(x + 5y)). Each round loads every lane into an unboxed [int64]
+     local with one eight-byte read, runs a fully unrolled
+     theta/rho/pi/chi/iota with constant indices and rotations, and
+     stores the lanes back, so the permutation allocates nothing.
+     Message bytes XOR straight into the state: a whole rate block is
+     17 eight-byte XORs. This is the data plane behind the
+     memory-integrity engine's per-line MAC and the channel record
+     tag.
    - the original int64-array implementation, retained verbatim as
      [Reference]: the qcheck oracle and the perf-harness baseline
      (the analogue of [Aes.ctr_reference]).
@@ -185,273 +187,206 @@ end
 
 (* ===== Fast path ===== *)
 
-let rc_lo = [| 0x00000001; 0x00008082; 0x0000808a; 0x80008000; 0x0000808b; 0x80000001; 0x80008081; 0x00008009; 0x0000008a; 0x00000088; 0x80008009; 0x8000000a; 0x8000808b; 0x0000008b; 0x00008089; 0x00008003; 0x00008002; 0x00000080; 0x0000800a; 0x8000000a; 0x80008081; 0x00008080; 0x80000001; 0x80008008 |]
+let state_bytes = 200 (* 25 lanes x 8 bytes *)
 
-let rc_hi = [| 0x00000000; 0x00000000; 0x80000000; 0x80000000; 0x00000000; 0x00000000; 0x80000000; 0x80000000; 0x00000000; 0x00000000; 0x00000000; 0x00000000; 0x00000000; 0x80000000; 0x80000000; 0x80000000; 0x80000000; 0x80000000; 0x00000000; 0x80000000; 0x80000000; 0x80000000; 0x00000000; 0x80000000 |]
+(* Lane arithmetic: [int64] primitives compile to single
+   instructions, and a let-bound [int64] that never escapes stays in a
+   register, so nothing below boxes. [lane]/[set_lane] are
+   [Bytes.get_int64_le]/[set_int64_le] (byte-swapped on big-endian
+   hosts, as the stdlib does) minus the bounds check: the permutation
+   touches only its own 200-byte state at constant lanes 0-24, and the
+   checks alone made a 4 KiB MAC take about 1.7x as long. *)
+module Lane = struct
+  external ( lxor ) : int64 -> int64 -> int64 = "%int64_xor"
+  external ( land ) : int64 -> int64 -> int64 = "%int64_and"
+  external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+  external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+  external swap64 : int64 -> int64 = "%bswap_int64"
 
-let[@inline always] ( .%() ) st i = Array.unsafe_get (st : int array) i
-let[@inline always] ( .%()<- ) st i v = Array.unsafe_set (st : int array) i v
+  let[@inline always] lnot x = x lxor -1L
 
-(* One Keccak-f[1600] permutation over 25 lanes split into 32-bit
-   halves (st.(2i) = low, st.(2i+1) = high). Fully unrolled
-   theta/rho/pi/chi/iota per round: every intermediate is an
-   immediate native int, so the permutation allocates nothing and
-   indexes nothing modulo 5. Generated mechanically from the
-   (x + 5y) lane layout and the FIPS 202 rotation table; the qcheck
-   equivalence property in test_dataplane pins it to [Reference]. *)
-let keccak_p (st : int array) =
+  let[@inline always] rol x n =
+    Int64.logor (Int64.shift_left x n) (Int64.shift_right_logical x (64 - n))
+
+  let[@inline always] lane st i =
+    if Sys.big_endian then swap64 (get64u st (8 * i)) else get64u st (8 * i)
+
+  let[@inline always] set_lane st i v =
+    if Sys.big_endian then set64u st (8 * i) (swap64 v) else set64u st (8 * i) v
+end
+
+(* One Keccak-f[1600] permutation over the 25 lanes of [st] (lane
+   x + 5y at byte 8(x + 5y)). Fully unrolled theta/rho/pi/chi/iota per
+   round: every lane index and rotation is a constant, nothing is
+   indexed modulo 5 and nothing allocates. Generated mechanically from
+   the (x + 5y) lane layout and the FIPS 202 rotation table; the
+   qcheck equivalence properties in test_dataplane pin it to
+   [Reference]. *)
+let keccak_p st =
+  let open Lane in
   for round = 0 to 23 do
-    let a0l = st.%(0) and a0h = st.%(1) in
-    let a1l = st.%(2) and a1h = st.%(3) in
-    let a2l = st.%(4) and a2h = st.%(5) in
-    let a3l = st.%(6) and a3h = st.%(7) in
-    let a4l = st.%(8) and a4h = st.%(9) in
-    let a5l = st.%(10) and a5h = st.%(11) in
-    let a6l = st.%(12) and a6h = st.%(13) in
-    let a7l = st.%(14) and a7h = st.%(15) in
-    let a8l = st.%(16) and a8h = st.%(17) in
-    let a9l = st.%(18) and a9h = st.%(19) in
-    let a10l = st.%(20) and a10h = st.%(21) in
-    let a11l = st.%(22) and a11h = st.%(23) in
-    let a12l = st.%(24) and a12h = st.%(25) in
-    let a13l = st.%(26) and a13h = st.%(27) in
-    let a14l = st.%(28) and a14h = st.%(29) in
-    let a15l = st.%(30) and a15h = st.%(31) in
-    let a16l = st.%(32) and a16h = st.%(33) in
-    let a17l = st.%(34) and a17h = st.%(35) in
-    let a18l = st.%(36) and a18h = st.%(37) in
-    let a19l = st.%(38) and a19h = st.%(39) in
-    let a20l = st.%(40) and a20h = st.%(41) in
-    let a21l = st.%(42) and a21h = st.%(43) in
-    let a22l = st.%(44) and a22h = st.%(45) in
-    let a23l = st.%(46) and a23h = st.%(47) in
-    let a24l = st.%(48) and a24h = st.%(49) in
-    let c0l = a0l lxor a5l lxor a10l lxor a15l lxor a20l
-    and c0h = a0h lxor a5h lxor a10h lxor a15h lxor a20h in
-    let c1l = a1l lxor a6l lxor a11l lxor a16l lxor a21l
-    and c1h = a1h lxor a6h lxor a11h lxor a16h lxor a21h in
-    let c2l = a2l lxor a7l lxor a12l lxor a17l lxor a22l
-    and c2h = a2h lxor a7h lxor a12h lxor a17h lxor a22h in
-    let c3l = a3l lxor a8l lxor a13l lxor a18l lxor a23l
-    and c3h = a3h lxor a8h lxor a13h lxor a18h lxor a23h in
-    let c4l = a4l lxor a9l lxor a14l lxor a19l lxor a24l
-    and c4h = a4h lxor a9h lxor a14h lxor a19h lxor a24h in
-    let d0l = c4l lxor (((c1l lsl 1) lor (c1h lsr 31)) land 0xFFFFFFFF)
-    and d0h = c4h lxor (((c1h lsl 1) lor (c1l lsr 31)) land 0xFFFFFFFF) in
-    let d1l = c0l lxor (((c2l lsl 1) lor (c2h lsr 31)) land 0xFFFFFFFF)
-    and d1h = c0h lxor (((c2h lsl 1) lor (c2l lsr 31)) land 0xFFFFFFFF) in
-    let d2l = c1l lxor (((c3l lsl 1) lor (c3h lsr 31)) land 0xFFFFFFFF)
-    and d2h = c1h lxor (((c3h lsl 1) lor (c3l lsr 31)) land 0xFFFFFFFF) in
-    let d3l = c2l lxor (((c4l lsl 1) lor (c4h lsr 31)) land 0xFFFFFFFF)
-    and d3h = c2h lxor (((c4h lsl 1) lor (c4l lsr 31)) land 0xFFFFFFFF) in
-    let d4l = c3l lxor (((c0l lsl 1) lor (c0h lsr 31)) land 0xFFFFFFFF)
-    and d4h = c3h lxor (((c0h lsl 1) lor (c0l lsr 31)) land 0xFFFFFFFF) in
-    let t0l = a0l lxor d0l and t0h = a0h lxor d0h in
-    let b0l = t0l and b0h = t0h in
-    let t5l = a5l lxor d0l and t5h = a5h lxor d0h in
-    let b16l = (((t5h lsl 4) lor (t5l lsr 28)) land 0xFFFFFFFF) and b16h = (((t5l lsl 4) lor (t5h lsr 28)) land 0xFFFFFFFF) in
-    let t10l = a10l lxor d0l and t10h = a10h lxor d0h in
-    let b7l = (((t10l lsl 3) lor (t10h lsr 29)) land 0xFFFFFFFF) and b7h = (((t10h lsl 3) lor (t10l lsr 29)) land 0xFFFFFFFF) in
-    let t15l = a15l lxor d0l and t15h = a15h lxor d0h in
-    let b23l = (((t15h lsl 9) lor (t15l lsr 23)) land 0xFFFFFFFF) and b23h = (((t15l lsl 9) lor (t15h lsr 23)) land 0xFFFFFFFF) in
-    let t20l = a20l lxor d0l and t20h = a20h lxor d0h in
-    let b14l = (((t20l lsl 18) lor (t20h lsr 14)) land 0xFFFFFFFF) and b14h = (((t20h lsl 18) lor (t20l lsr 14)) land 0xFFFFFFFF) in
-    let t1l = a1l lxor d1l and t1h = a1h lxor d1h in
-    let b10l = (((t1l lsl 1) lor (t1h lsr 31)) land 0xFFFFFFFF) and b10h = (((t1h lsl 1) lor (t1l lsr 31)) land 0xFFFFFFFF) in
-    let t6l = a6l lxor d1l and t6h = a6h lxor d1h in
-    let b1l = (((t6h lsl 12) lor (t6l lsr 20)) land 0xFFFFFFFF) and b1h = (((t6l lsl 12) lor (t6h lsr 20)) land 0xFFFFFFFF) in
-    let t11l = a11l lxor d1l and t11h = a11h lxor d1h in
-    let b17l = (((t11l lsl 10) lor (t11h lsr 22)) land 0xFFFFFFFF) and b17h = (((t11h lsl 10) lor (t11l lsr 22)) land 0xFFFFFFFF) in
-    let t16l = a16l lxor d1l and t16h = a16h lxor d1h in
-    let b8l = (((t16h lsl 13) lor (t16l lsr 19)) land 0xFFFFFFFF) and b8h = (((t16l lsl 13) lor (t16h lsr 19)) land 0xFFFFFFFF) in
-    let t21l = a21l lxor d1l and t21h = a21h lxor d1h in
-    let b24l = (((t21l lsl 2) lor (t21h lsr 30)) land 0xFFFFFFFF) and b24h = (((t21h lsl 2) lor (t21l lsr 30)) land 0xFFFFFFFF) in
-    let t2l = a2l lxor d2l and t2h = a2h lxor d2h in
-    let b20l = (((t2h lsl 30) lor (t2l lsr 2)) land 0xFFFFFFFF) and b20h = (((t2l lsl 30) lor (t2h lsr 2)) land 0xFFFFFFFF) in
-    let t7l = a7l lxor d2l and t7h = a7h lxor d2h in
-    let b11l = (((t7l lsl 6) lor (t7h lsr 26)) land 0xFFFFFFFF) and b11h = (((t7h lsl 6) lor (t7l lsr 26)) land 0xFFFFFFFF) in
-    let t12l = a12l lxor d2l and t12h = a12h lxor d2h in
-    let b2l = (((t12h lsl 11) lor (t12l lsr 21)) land 0xFFFFFFFF) and b2h = (((t12l lsl 11) lor (t12h lsr 21)) land 0xFFFFFFFF) in
-    let t17l = a17l lxor d2l and t17h = a17h lxor d2h in
-    let b18l = (((t17l lsl 15) lor (t17h lsr 17)) land 0xFFFFFFFF) and b18h = (((t17h lsl 15) lor (t17l lsr 17)) land 0xFFFFFFFF) in
-    let t22l = a22l lxor d2l and t22h = a22h lxor d2h in
-    let b9l = (((t22h lsl 29) lor (t22l lsr 3)) land 0xFFFFFFFF) and b9h = (((t22l lsl 29) lor (t22h lsr 3)) land 0xFFFFFFFF) in
-    let t3l = a3l lxor d3l and t3h = a3h lxor d3h in
-    let b5l = (((t3l lsl 28) lor (t3h lsr 4)) land 0xFFFFFFFF) and b5h = (((t3h lsl 28) lor (t3l lsr 4)) land 0xFFFFFFFF) in
-    let t8l = a8l lxor d3l and t8h = a8h lxor d3h in
-    let b21l = (((t8h lsl 23) lor (t8l lsr 9)) land 0xFFFFFFFF) and b21h = (((t8l lsl 23) lor (t8h lsr 9)) land 0xFFFFFFFF) in
-    let t13l = a13l lxor d3l and t13h = a13h lxor d3h in
-    let b12l = (((t13l lsl 25) lor (t13h lsr 7)) land 0xFFFFFFFF) and b12h = (((t13h lsl 25) lor (t13l lsr 7)) land 0xFFFFFFFF) in
-    let t18l = a18l lxor d3l and t18h = a18h lxor d3h in
-    let b3l = (((t18l lsl 21) lor (t18h lsr 11)) land 0xFFFFFFFF) and b3h = (((t18h lsl 21) lor (t18l lsr 11)) land 0xFFFFFFFF) in
-    let t23l = a23l lxor d3l and t23h = a23h lxor d3h in
-    let b19l = (((t23h lsl 24) lor (t23l lsr 8)) land 0xFFFFFFFF) and b19h = (((t23l lsl 24) lor (t23h lsr 8)) land 0xFFFFFFFF) in
-    let t4l = a4l lxor d4l and t4h = a4h lxor d4h in
-    let b15l = (((t4l lsl 27) lor (t4h lsr 5)) land 0xFFFFFFFF) and b15h = (((t4h lsl 27) lor (t4l lsr 5)) land 0xFFFFFFFF) in
-    let t9l = a9l lxor d4l and t9h = a9h lxor d4h in
-    let b6l = (((t9l lsl 20) lor (t9h lsr 12)) land 0xFFFFFFFF) and b6h = (((t9h lsl 20) lor (t9l lsr 12)) land 0xFFFFFFFF) in
-    let t14l = a14l lxor d4l and t14h = a14h lxor d4h in
-    let b22l = (((t14h lsl 7) lor (t14l lsr 25)) land 0xFFFFFFFF) and b22h = (((t14l lsl 7) lor (t14h lsr 25)) land 0xFFFFFFFF) in
-    let t19l = a19l lxor d4l and t19h = a19h lxor d4h in
-    let b13l = (((t19l lsl 8) lor (t19h lsr 24)) land 0xFFFFFFFF) and b13h = (((t19h lsl 8) lor (t19l lsr 24)) land 0xFFFFFFFF) in
-    let t24l = a24l lxor d4l and t24h = a24h lxor d4h in
-    let b4l = (((t24l lsl 14) lor (t24h lsr 18)) land 0xFFFFFFFF) and b4h = (((t24h lsl 14) lor (t24l lsr 18)) land 0xFFFFFFFF) in
-    st.%(0) <- b0l lxor ((lnot b1l) land b2l) lxor Array.unsafe_get rc_lo round;
-    st.%(1) <- b0h lxor ((lnot b1h) land b2h) lxor Array.unsafe_get rc_hi round;
-    st.%(2) <- b1l lxor ((lnot b2l) land b3l);
-    st.%(3) <- b1h lxor ((lnot b2h) land b3h);
-    st.%(4) <- b2l lxor ((lnot b3l) land b4l);
-    st.%(5) <- b2h lxor ((lnot b3h) land b4h);
-    st.%(6) <- b3l lxor ((lnot b4l) land b0l);
-    st.%(7) <- b3h lxor ((lnot b4h) land b0h);
-    st.%(8) <- b4l lxor ((lnot b0l) land b1l);
-    st.%(9) <- b4h lxor ((lnot b0h) land b1h);
-    st.%(10) <- b5l lxor ((lnot b6l) land b7l);
-    st.%(11) <- b5h lxor ((lnot b6h) land b7h);
-    st.%(12) <- b6l lxor ((lnot b7l) land b8l);
-    st.%(13) <- b6h lxor ((lnot b7h) land b8h);
-    st.%(14) <- b7l lxor ((lnot b8l) land b9l);
-    st.%(15) <- b7h lxor ((lnot b8h) land b9h);
-    st.%(16) <- b8l lxor ((lnot b9l) land b5l);
-    st.%(17) <- b8h lxor ((lnot b9h) land b5h);
-    st.%(18) <- b9l lxor ((lnot b5l) land b6l);
-    st.%(19) <- b9h lxor ((lnot b5h) land b6h);
-    st.%(20) <- b10l lxor ((lnot b11l) land b12l);
-    st.%(21) <- b10h lxor ((lnot b11h) land b12h);
-    st.%(22) <- b11l lxor ((lnot b12l) land b13l);
-    st.%(23) <- b11h lxor ((lnot b12h) land b13h);
-    st.%(24) <- b12l lxor ((lnot b13l) land b14l);
-    st.%(25) <- b12h lxor ((lnot b13h) land b14h);
-    st.%(26) <- b13l lxor ((lnot b14l) land b10l);
-    st.%(27) <- b13h lxor ((lnot b14h) land b10h);
-    st.%(28) <- b14l lxor ((lnot b10l) land b11l);
-    st.%(29) <- b14h lxor ((lnot b10h) land b11h);
-    st.%(30) <- b15l lxor ((lnot b16l) land b17l);
-    st.%(31) <- b15h lxor ((lnot b16h) land b17h);
-    st.%(32) <- b16l lxor ((lnot b17l) land b18l);
-    st.%(33) <- b16h lxor ((lnot b17h) land b18h);
-    st.%(34) <- b17l lxor ((lnot b18l) land b19l);
-    st.%(35) <- b17h lxor ((lnot b18h) land b19h);
-    st.%(36) <- b18l lxor ((lnot b19l) land b15l);
-    st.%(37) <- b18h lxor ((lnot b19h) land b15h);
-    st.%(38) <- b19l lxor ((lnot b15l) land b16l);
-    st.%(39) <- b19h lxor ((lnot b15h) land b16h);
-    st.%(40) <- b20l lxor ((lnot b21l) land b22l);
-    st.%(41) <- b20h lxor ((lnot b21h) land b22h);
-    st.%(42) <- b21l lxor ((lnot b22l) land b23l);
-    st.%(43) <- b21h lxor ((lnot b22h) land b23h);
-    st.%(44) <- b22l lxor ((lnot b23l) land b24l);
-    st.%(45) <- b22h lxor ((lnot b23h) land b24h);
-    st.%(46) <- b23l lxor ((lnot b24l) land b20l);
-    st.%(47) <- b23h lxor ((lnot b24h) land b20h);
-    st.%(48) <- b24l lxor ((lnot b20l) land b21l);
-    st.%(49) <- b24h lxor ((lnot b20h) land b21h);
-    ()
+    let a0 = lane st 0 in
+    let a1 = lane st 1 in
+    let a2 = lane st 2 in
+    let a3 = lane st 3 in
+    let a4 = lane st 4 in
+    let a5 = lane st 5 in
+    let a6 = lane st 6 in
+    let a7 = lane st 7 in
+    let a8 = lane st 8 in
+    let a9 = lane st 9 in
+    let a10 = lane st 10 in
+    let a11 = lane st 11 in
+    let a12 = lane st 12 in
+    let a13 = lane st 13 in
+    let a14 = lane st 14 in
+    let a15 = lane st 15 in
+    let a16 = lane st 16 in
+    let a17 = lane st 17 in
+    let a18 = lane st 18 in
+    let a19 = lane st 19 in
+    let a20 = lane st 20 in
+    let a21 = lane st 21 in
+    let a22 = lane st 22 in
+    let a23 = lane st 23 in
+    let a24 = lane st 24 in
+    let c0 = a0 lxor a5 lxor a10 lxor a15 lxor a20 in
+    let c1 = a1 lxor a6 lxor a11 lxor a16 lxor a21 in
+    let c2 = a2 lxor a7 lxor a12 lxor a17 lxor a22 in
+    let c3 = a3 lxor a8 lxor a13 lxor a18 lxor a23 in
+    let c4 = a4 lxor a9 lxor a14 lxor a19 lxor a24 in
+    let d0 = c4 lxor rol c1 1 in
+    let d1 = c0 lxor rol c2 1 in
+    let d2 = c1 lxor rol c3 1 in
+    let d3 = c2 lxor rol c4 1 in
+    let d4 = c3 lxor rol c0 1 in
+    let b0 = a0 lxor d0 in
+    let b16 = rol (a5 lxor d0) 36 in
+    let b7 = rol (a10 lxor d0) 3 in
+    let b23 = rol (a15 lxor d0) 41 in
+    let b14 = rol (a20 lxor d0) 18 in
+    let b10 = rol (a1 lxor d1) 1 in
+    let b1 = rol (a6 lxor d1) 44 in
+    let b17 = rol (a11 lxor d1) 10 in
+    let b8 = rol (a16 lxor d1) 45 in
+    let b24 = rol (a21 lxor d1) 2 in
+    let b20 = rol (a2 lxor d2) 62 in
+    let b11 = rol (a7 lxor d2) 6 in
+    let b2 = rol (a12 lxor d2) 43 in
+    let b18 = rol (a17 lxor d2) 15 in
+    let b9 = rol (a22 lxor d2) 61 in
+    let b5 = rol (a3 lxor d3) 28 in
+    let b21 = rol (a8 lxor d3) 55 in
+    let b12 = rol (a13 lxor d3) 25 in
+    let b3 = rol (a18 lxor d3) 21 in
+    let b19 = rol (a23 lxor d3) 56 in
+    let b15 = rol (a4 lxor d4) 27 in
+    let b6 = rol (a9 lxor d4) 20 in
+    let b22 = rol (a14 lxor d4) 39 in
+    let b13 = rol (a19 lxor d4) 8 in
+    let b4 = rol (a24 lxor d4) 14 in
+    set_lane st 0 (b0 lxor (lnot b1 land b2) lxor Array.unsafe_get Reference.round_constants round);
+    set_lane st 1 (b1 lxor (lnot b2 land b3));
+    set_lane st 2 (b2 lxor (lnot b3 land b4));
+    set_lane st 3 (b3 lxor (lnot b4 land b0));
+    set_lane st 4 (b4 lxor (lnot b0 land b1));
+    set_lane st 5 (b5 lxor (lnot b6 land b7));
+    set_lane st 6 (b6 lxor (lnot b7 land b8));
+    set_lane st 7 (b7 lxor (lnot b8 land b9));
+    set_lane st 8 (b8 lxor (lnot b9 land b5));
+    set_lane st 9 (b9 lxor (lnot b5 land b6));
+    set_lane st 10 (b10 lxor (lnot b11 land b12));
+    set_lane st 11 (b11 lxor (lnot b12 land b13));
+    set_lane st 12 (b12 lxor (lnot b13 land b14));
+    set_lane st 13 (b13 lxor (lnot b14 land b10));
+    set_lane st 14 (b14 lxor (lnot b10 land b11));
+    set_lane st 15 (b15 lxor (lnot b16 land b17));
+    set_lane st 16 (b16 lxor (lnot b17 land b18));
+    set_lane st 17 (b17 lxor (lnot b18 land b19));
+    set_lane st 18 (b18 lxor (lnot b19 land b15));
+    set_lane st 19 (b19 lxor (lnot b15 land b16));
+    set_lane st 20 (b20 lxor (lnot b21 land b22));
+    set_lane st 21 (b21 lxor (lnot b22 land b23));
+    set_lane st 22 (b22 lxor (lnot b23 land b24));
+    set_lane st 23 (b23 lxor (lnot b24 land b20));
+    set_lane st 24 (b24 lxor (lnot b20 land b21))
   done
 
-(* Fast sponge: 50 immediate-int lane halves plus the partial-block
-   and digest scratch, one private record per domain (hoisted out of
-   the per-call path — [keccak_p] runs once per 136 absorbed bytes,
-   so per-call allocation would dominate the page-MAC path). *)
+(* Fast sponge: the state as 200 bytes, plus how many bytes of the
+   current rate block are already absorbed. Because the state is in
+   FIPS 202 byte order, message bytes XOR straight into it (no
+   partial-block buffer) and the digest is its first 32 bytes. One
+   private record per domain, hoisted out of the per-call path. *)
 type sponge = {
-  st : int array; (* 25 lanes x (low, high) 32-bit halves *)
-  partial : bytes;
+  st : bytes;
   mutable partial_len : int;
-  mac_digest : bytes;
 }
 
 let sponge : sponge Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        st = Array.make 50 0;
-        partial = Bytes.create rate_bytes;
-        partial_len = 0;
-        mac_digest = Bytes.create 32;
-      })
+  Domain.DLS.new_key (fun () -> { st = Bytes.make state_bytes '\000'; partial_len = 0 })
 
 let sponge_reset sp =
-  Array.fill sp.st 0 50 0;
+  Bytes.fill sp.st 0 state_bytes '\000';
   sp.partial_len <- 0
 
-(* Little-endian 32-bit load assembled from unsafe char reads: the
-   callers below only pass [off] with a full rate block in range, and
-   chars are immediates, so the absorb loop never allocates. *)
-let[@inline] word32 b off =
-  Char.code (Bytes.unsafe_get b off)
-  lor (Char.code (Bytes.unsafe_get b (off + 1)) lsl 8)
-  lor (Char.code (Bytes.unsafe_get b (off + 2)) lsl 16)
-  lor (Char.code (Bytes.unsafe_get b (off + 3)) lsl 24)
+let[@inline] xor_byte st i v = Bytes.set st i (Char.unsafe_chr (Char.code (Bytes.get st i) lxor v))
 
-(* XOR one full rate block at [block+off] into the state and permute. *)
-let absorb_block sp block off =
-  let st = sp.st in
-  for lane = 0 to (rate_bytes / 8) - 1 do
-    let base = off + (8 * lane) in
-    st.%(2 * lane) <- st.%(2 * lane) lxor word32 block base;
-    st.%((2 * lane) + 1) <- st.%((2 * lane) + 1) lxor word32 block (base + 4)
-  done;
-  keccak_p st
-
+(* Absorb [msg.[off..off+len-1]]: whole rate blocks as 17 eight-byte
+   lane XORs, the ragged edges of a block byte by byte. *)
 let absorb sp msg ~off ~len =
-  let pos = ref off and remaining = ref len in
-  if sp.partial_len > 0 then begin
-    let take = Stdlib.min !remaining (rate_bytes - sp.partial_len) in
-    Bytes.blit msg !pos sp.partial sp.partial_len take;
-    sp.partial_len <- sp.partial_len + take;
-    pos := !pos + take;
-    remaining := !remaining - take;
-    if sp.partial_len = rate_bytes then begin
-      absorb_block sp sp.partial 0;
-      sp.partial_len <- 0
+  let st = sp.st and pos = ref off and stop = off + len in
+  while !pos < stop do
+    if sp.partial_len = 0 && stop - !pos >= rate_bytes then begin
+      for lane = 0 to (rate_bytes / 8) - 1 do
+        let o = 8 * lane in
+        Bytes.set_int64_le st o
+          (Int64.logxor (Bytes.get_int64_le st o) (Bytes.get_int64_le msg (!pos + o)))
+      done;
+      keccak_p st;
+      pos := !pos + rate_bytes
     end
-  end;
-  while !remaining >= rate_bytes do
-    absorb_block sp msg !pos;
-    pos := !pos + rate_bytes;
-    remaining := !remaining - rate_bytes
-  done;
-  if !remaining > 0 then begin
-    Bytes.blit msg !pos sp.partial 0 !remaining;
-    sp.partial_len <- sp.partial_len + !remaining
-  end
-
-(* pad10*1 with SHA-3 domain bits 0b01 -> 0x06, then squeeze 32 bytes
-   (< rate, single squeeze) into [out+off]. *)
-let finalize_into sp out ~off =
-  Bytes.fill sp.partial sp.partial_len (rate_bytes - sp.partial_len) '\000';
-  Bytes.set sp.partial sp.partial_len '\x06';
-  Bytes.set sp.partial (rate_bytes - 1)
-    (Char.chr (Char.code (Bytes.get sp.partial (rate_bytes - 1)) lor 0x80));
-  absorb_block sp sp.partial 0;
-  for lane = 0 to 3 do
-    let lo = sp.st.(2 * lane) and hi = sp.st.((2 * lane) + 1) in
-    for i = 0 to 3 do
-      Bytes.set out (off + (8 * lane) + i) (Char.chr ((lo lsr (8 * i)) land 0xFF));
-      Bytes.set out (off + (8 * lane) + 4 + i) (Char.chr ((hi lsr (8 * i)) land 0xFF))
-    done
+    else begin
+      let take = Stdlib.min (stop - !pos) (rate_bytes - sp.partial_len) in
+      for i = 0 to take - 1 do
+        xor_byte st (sp.partial_len + i) (Char.code (Bytes.get msg (!pos + i)))
+      done;
+      sp.partial_len <- sp.partial_len + take;
+      pos := !pos + take;
+      if sp.partial_len = rate_bytes then begin
+        keccak_p st;
+        sp.partial_len <- 0
+      end
+    end
   done
+
+(* pad10*1 with SHA-3 domain bits 0b01 -> 0x06, then the final
+   permutation; the digest is the first 32 bytes of the state (< rate,
+   single squeeze). *)
+let finalize sp =
+  xor_byte sp.st sp.partial_len 0x06;
+  xor_byte sp.st (rate_bytes - 1) 0x80;
+  keccak_p sp.st
 
 let sha3_256 msg =
   let sp = Domain.DLS.get sponge in
   sponge_reset sp;
   absorb sp msg ~off:0 ~len:(Bytes.length msg);
-  let out = Bytes.create 32 in
-  finalize_into sp out ~off:0;
-  out
+  finalize sp;
+  Bytes.sub sp.st 0 32
 
 let sha3_256_string s = sha3_256 (Bytes.of_string s)
 
 let mac_28bit ~key data =
   (* Streaming key || data through the sponge is byte-identical to
-     hashing their concatenation, minus the concat buffer. The digest
-     lands in the domain-local scratch: the tag is an int, so nothing
-     the caller sees aliases that buffer. *)
+     hashing their concatenation, minus the concat buffer. The tag is
+     an int read off the domain-local state, so nothing the caller
+     sees aliases it. *)
   let sp = Domain.DLS.get sponge in
   sponge_reset sp;
   absorb sp key ~off:0 ~len:(Bytes.length key);
   absorb sp data ~off:0 ~len:(Bytes.length data);
-  finalize_into sp sp.mac_digest ~off:0;
-  tag_of_digest sp.mac_digest
+  finalize sp;
+  tag_of_digest sp.st
 
 (* --- Keyed-MAC snapshots. The MEE MACs every line under one engine
    key, so instead of re-absorbing the key per call it captures the
@@ -461,8 +396,7 @@ let mac_28bit ~key data =
    post-key sponge. --- *)
 
 type keyed = {
-  kst : int array;
-  kpartial : bytes;
+  kst : bytes;
   kpartial_len : int;
 }
 
@@ -470,22 +404,25 @@ let keyed_init ~key =
   let sp = Domain.DLS.get sponge in
   sponge_reset sp;
   absorb sp key ~off:0 ~len:(Bytes.length key);
-  { kst = Array.copy sp.st; kpartial = Bytes.copy sp.partial; kpartial_len = sp.partial_len }
+  { kst = Bytes.copy sp.st; kpartial_len = sp.partial_len }
+
+let replay keyed =
+  let sp = Domain.DLS.get sponge in
+  Bytes.blit keyed.kst 0 sp.st 0 state_bytes;
+  sp.partial_len <- keyed.kpartial_len;
+  sp
 
 let mac_28bit_keyed keyed data =
-  let sp = Domain.DLS.get sponge in
-  Array.blit keyed.kst 0 sp.st 0 50;
-  if keyed.kpartial_len > 0 then Bytes.blit keyed.kpartial 0 sp.partial 0 keyed.kpartial_len;
-  sp.partial_len <- keyed.kpartial_len;
+  let sp = replay keyed in
   absorb sp data ~off:0 ~len:(Bytes.length data);
-  finalize_into sp sp.mac_digest ~off:0;
-  tag_of_digest sp.mac_digest
+  finalize sp;
+  tag_of_digest sp.st
 
 let mac16_keyed_into keyed data ~off ~len tag ~tag_off =
-  let sp = Domain.DLS.get sponge in
-  Array.blit keyed.kst 0 sp.st 0 50;
-  if keyed.kpartial_len > 0 then Bytes.blit keyed.kpartial 0 sp.partial 0 keyed.kpartial_len;
-  sp.partial_len <- keyed.kpartial_len;
+  if off < 0 || len < 0 || off > Bytes.length data - len
+     || tag_off < 0 || tag_off > Bytes.length tag - 16
+  then invalid_arg "Keccak.mac16_keyed_into: slice out of bounds";
+  let sp = replay keyed in
   absorb sp data ~off ~len;
-  finalize_into sp sp.mac_digest ~off:0;
-  Bytes.blit sp.mac_digest 0 tag tag_off 16
+  finalize sp;
+  Bytes.blit sp.st 0 tag tag_off 16

@@ -5,7 +5,7 @@
     engine stores per cache line.
 
     The default entry points run the unrolled lane-level permutation
-    (32-bit lane halves in immediate native ints, allocation-free);
+    (25 unboxed 64-bit lanes in a 200-byte state, allocation-free);
     {!Reference} retains the original int64-array implementation as
     the qcheck oracle and perf baseline, mirroring
     [Aes.ctr_reference]. Both produce bit-identical digests and
@@ -42,7 +42,9 @@ val mac_28bit_keyed : keyed -> bytes -> int
     half of [SHA3-256(key ‖ data)] — into [tag] at [tag_off], with no
     allocation. This is the record tag of the secure-channel layer
     (docs/PROTOCOL.md §3.3): the record header and ciphertext sit
-    contiguously in one buffer, so the MAC input is a single slice. *)
+    contiguously in one buffer, so the MAC input is a single slice.
+    Raises [Invalid_argument] if the data slice is not within [data]
+    or the 16 tag bytes are not within [tag]. *)
 val mac16_keyed_into : keyed -> bytes -> off:int -> len:int -> bytes -> tag_off:int -> unit
 
 (** The original incremental-sponge implementation on int64 arrays,

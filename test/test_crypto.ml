@@ -85,6 +85,30 @@ let test_mac_28bit () =
   let m3 = Keccak.mac_28bit ~key:(Bytes.of_string "K") (Bytes.of_string "hello") in
   check Alcotest.bool "sensitive to key" true (m1 <> m3)
 
+let test_mac16_bad_slice () =
+  (* mac16_keyed_into is public, so it must reject any slice outside
+     [data] or [tag] before touching the sponge. 392 bytes over a
+     200-byte buffer used to return a tag computed over 192 bytes
+     past the buffer's end. *)
+  let keyed = Keccak.keyed_init ~key:(Bytes.make 16 'k') in
+  let data = Bytes.make 200 'd' and tag = Bytes.make 32 't' in
+  let rejects name ~off ~len ~tag_off =
+    Alcotest.check_raises name (Invalid_argument "Keccak.mac16_keyed_into: slice out of bounds")
+      (fun () -> Keccak.mac16_keyed_into keyed data ~off ~len tag ~tag_off)
+  in
+  rejects "len past the end" ~off:0 ~len:392 ~tag_off:0;
+  rejects "off + len past the end" ~off:64 ~len:137 ~tag_off:0;
+  rejects "negative off" ~off:(-8) ~len:16 ~tag_off:0;
+  rejects "negative len" ~off:8 ~len:(-1) ~tag_off:0;
+  rejects "tag past the end" ~off:0 ~len:200 ~tag_off:17;
+  rejects "negative tag_off" ~off:0 ~len:200 ~tag_off:(-1);
+  check Alcotest.bytes "tag untouched by rejected calls" (Bytes.make 32 't') tag;
+  (* The full buffer and a tag ending exactly at [tag]'s end are fine. *)
+  Keccak.mac16_keyed_into keyed data ~off:0 ~len:200 tag ~tag_off:16;
+  check Alcotest.bytes "in-range tag"
+    (Bytes.sub (Keccak.Reference.sha3_256 (Bytes.cat (Bytes.make 16 'k') data)) 0 16)
+    (Bytes.sub tag 16 16)
+
 (* --- AES-128 (FIPS 197) --- *)
 
 let test_aes_fips_vector () =
@@ -220,6 +244,26 @@ let test_ctr_counter_carry () =
   let data = Bytes.make 64 'x' in
   let ct = Aes.ctr k ~nonce data in
   check Alcotest.bytes "carry roundtrip" data (Aes.ctr k ~nonce ct)
+
+let test_ctr_counter_wrap () =
+  (* The low 64 bits of the counter start 16 blocks short of 2^64, so
+     a 4 KiB page wraps them to zero (the high half never carries).
+     The whole page and every slice straddling the wrap, at ragged
+     and block-aligned stream offsets, must match the reference. *)
+  let k = Aes.expand (Bytes.init 16 (fun i -> Char.chr (0x30 + i))) in
+  let nonce = Bytes.init 16 (fun i -> Char.chr (0xC0 + i)) in
+  Bx.set_u64_be nonce 8 (-16L);
+  let page = Bytes.init 4096 (fun i -> Char.chr ((i * 13) land 0xFF)) in
+  let expected = Aes.ctr_reference k ~nonce page in
+  check Alcotest.bytes "4 KiB page across the wrap" expected (Aes.ctr k ~nonce page);
+  List.iter
+    (fun (off, len) ->
+      let out = Bytes.make len '\000' in
+      Aes.ctr_into k ~nonce ~stream_off:off ~src:page ~src_off:off ~dst:out ~dst_off:0 len;
+      check Alcotest.bytes
+        (Printf.sprintf "slice %d+%d" off len)
+        (Bytes.sub expected off len) out)
+    [ (240, 32); (255, 2); (250, 100); (256, 16); (224, 48); (8, 4000); (17, 4079); (0, 4096) ]
 
 let test_page_tweak () =
   let k = Aes.expand (Bytes.make 16 'k') in
@@ -620,6 +664,7 @@ let suite =
         Alcotest.test_case "FIPS 202 vectors" `Quick test_sha3_vectors;
         Alcotest.test_case "multi-block" `Quick test_sha3_multiblock;
         Alcotest.test_case "28-bit MAC" `Quick test_mac_28bit;
+        Alcotest.test_case "mac16 bad slice" `Quick test_mac16_bad_slice;
       ] );
     ( "crypto.aes",
       [
@@ -628,6 +673,7 @@ let suite =
         Alcotest.test_case "SP800-38A CTR vectors" `Quick test_aes_sp800_38a_ctr;
         Alcotest.test_case "ctr nonce matters" `Quick test_ctr_nonce_matters;
         Alcotest.test_case "ctr counter carry" `Quick test_ctr_counter_carry;
+        Alcotest.test_case "ctr counter wrap" `Quick test_ctr_counter_wrap;
         Alcotest.test_case "page tweak" `Quick test_page_tweak;
         Alcotest.test_case "cbc-mac" `Quick test_cbc_mac;
         prop_aes_roundtrip;

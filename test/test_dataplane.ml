@@ -241,6 +241,23 @@ let prop_mac28_matches_reference =
          Keccak.mac_28bit ~key data = expected
          && Keccak.mac_28bit_keyed (Keccak.keyed_init ~key) data = expected))
 
+(* The record tag over a slice at any byte offset: whole rate blocks
+   are absorbed with eight-byte loads from [off], so offsets 0-7 cover
+   every misalignment, and the key lengths leave the snapshot's open
+   block empty (0, 136), part-full (16, 32, 137) or one byte short of
+   full (135). *)
+let prop_mac16_keyed_matches_reference =
+  prop
+    (QCheck.Test.make ~name:"mac16_keyed_into at any offset = reference sha3" ~count:300
+       QCheck.(triple (oneofl [ 0; 16; 32; 135; 136; 137 ]) (int_range 0 7) (int_range 0 600))
+       (fun (key_len, off, len) ->
+         let key = Bytes.init key_len (fun i -> Char.chr (((i * 11) + 5) land 0xFF)) in
+         let data = Bytes.init (off + len + 3) (fun i -> Char.chr (((i * 29) + 1) land 0xFF)) in
+         let tag = Bytes.make 20 '\000' in
+         Keccak.mac16_keyed_into (Keccak.keyed_init ~key) data ~off ~len tag ~tag_off:4;
+         let expected = Keccak.Reference.sha3_256 (Bytes.cat key (Bytes.sub data off len)) in
+         Bytes.equal (Bytes.sub tag 4 16) (Bytes.sub expected 0 16)))
+
 (* --- SDK measurement stream vs a hand-rolled padded reference --- *)
 
 let test_measurement_stream () =
@@ -410,6 +427,7 @@ let suite =
         Alcotest.test_case "FIPS 202 known answers" `Quick test_sha3_kat;
         prop_sha3_matches_reference;
         prop_mac28_matches_reference;
+        prop_mac16_keyed_matches_reference;
       ] );
     ( "dataplane.phys_mem",
       [
