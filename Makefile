@@ -1,4 +1,4 @@
-.PHONY: all build test test-parallel sweep chaos-smoke chaos-restart check-invariants conformance bench-perf bench-parallel bench-cloud bench-smoke check doc fmt clean
+.PHONY: all build test test-parallel sweep chaos-smoke chaos-restart check-invariants conformance bench-perf bench-parallel bench-cloud cloud-pin bench-smoke check doc fmt clean
 
 all: build
 
@@ -22,9 +22,21 @@ test-parallel: build
 # The deterministic sweep at CI size: every paper table and figure
 # (Tables I-VI, Figs. 6-12, ablations), then the chaos and scale
 # sweeps. Exits non-zero if any entry's verdict is dirty (e.g. a
-# Table VI probe mismatch or an invariant violation under faults).
+# Table VI probe mismatch or an invariant violation under faults), or
+# if the output's md5 is not the pinned one: every entry in `all` is
+# on the modelled clock, so any other digest is a change to the
+# model, to be re-pinned here on purpose.
+SWEEP_PIN = 1798fb3dedfe6434f64d0ef01ce5c823
+
 sweep: build
-	dune exec bin/hypertee_cli.exe -- all --quick
+	@out=$$(mktemp); \
+	./_build/default/bin/hypertee_cli.exe all --quick > $$out \
+		|| { cat $$out; rm -f $$out; echo "sweep: all --quick exited nonzero" >&2; exit 1; }; \
+	cat $$out; got=$$(md5sum < $$out | cut -d' ' -f1); rm -f $$out; \
+	if [ "$$got" != "$(SWEEP_PIN)" ]; then \
+		echo "sweep: all --quick md5=$$got, pinned $(SWEEP_PIN)" >&2; exit 1; \
+	fi; \
+	echo "sweep: all --quick md5=$$got ok"
 
 # Deterministic quick availability sweep: exercises the fault injector,
 # EMCall retry/timeout, the EMS watchdog and integrity containment.
@@ -34,10 +46,16 @@ chaos-smoke: build
 # Rolling-restart recovery scenario: kill and cold-restart every EMS
 # shard under live traffic, then verify zero lost enclaves, a silent
 # differential oracle, and a clean end-of-run deep invariant sweep.
-# Writes the report table to CHAOS_restart.txt; exits non-zero on any
-# loss, divergence or violation.
+# Exits non-zero on any loss, divergence or violation, or if the
+# report table differs by one byte from the committed
+# CHAOS_restart.txt (re-record on purpose with
+# `hypertee_cli.exe restart --out CHAOS_restart.txt`).
 chaos-restart: build
-	dune exec bin/hypertee_cli.exe -- restart --out CHAOS_restart.txt
+	@out=$$(mktemp); \
+	./_build/default/bin/hypertee_cli.exe restart --out $$out || { rm -f $$out; exit 1; }; \
+	cmp $$out CHAOS_restart.txt \
+		|| { rm -f $$out; echo "chaos-restart: report differs from CHAOS_restart.txt" >&2; exit 1; }; \
+	rm -f $$out; echo "chaos-restart: report matches CHAOS_restart.txt"
 
 # Wall-clock MB/s microbenchmarks of the crypto data plane; writes
 # BENCH_perf.json so the throughput trajectory is tracked across PRs.
@@ -66,6 +84,18 @@ bench-parallel: build
 # divergence surfaced by the churn.
 bench-cloud: build
 	dune exec bin/hypertee_cli.exe -- cloud --quick --out BENCH_cloud.json
+
+# The same sweep as bench-cloud, written to a temp file and compared
+# byte for byte with the committed BENCH_cloud.json: the SLO curves
+# are on the modelled clock, so any drift is a change to the model.
+# bench-cloud stays the explicit re-record target.
+cloud-pin: build
+	@out=$$(mktemp); \
+	./_build/default/bin/hypertee_cli.exe cloud --quick --out $$out > /dev/null \
+		|| { rm -f $$out; echo "cloud-pin: cloud --quick exited nonzero" >&2; exit 1; }; \
+	cmp $$out BENCH_cloud.json \
+		|| { rm -f $$out; echo "cloud-pin: cloud --quick differs from BENCH_cloud.json" >&2; exit 1; }; \
+	rm -f $$out; echo "cloud-pin: cloud --quick matches BENCH_cloud.json"
 
 # One second of each benchmark workload (BENCHMARK.json) at seed 1,
 # run through perfbench/main.exe as the benchmark runs it. Fails if a
@@ -105,11 +135,13 @@ conformance: build
 
 # The gate for a change: everything builds, the full test suite is
 # green in both execution modes, the deterministic sweep (paper
-# tables and figures, chaos and scale smoke) is clean, the rolling
-# restart recovers every shard with nothing lost, the oracle/invariant
-# pass holds, the secure-channel conformance vectors all pass, and
-# the benchmark's seed-1 modelled hashes are the pinned ones.
-check: build test test-parallel sweep chaos-restart check-invariants conformance bench-smoke
+# tables and figures, chaos and scale smoke) is clean and hashes to
+# its pin, the rolling restart recovers every shard with nothing lost
+# and reproduces CHAOS_restart.txt, the cloud sweep reproduces
+# BENCH_cloud.json, the oracle/invariant pass holds, the
+# secure-channel conformance vectors all pass, and the benchmark's
+# seed-1 modelled hashes are the pinned ones.
+check: build test test-parallel sweep chaos-restart cloud-pin check-invariants conformance bench-smoke
 
 # API reference from the .mli doc comments, built with odoc into
 # _build/default/_doc/_html. Skips with a notice when odoc is absent,

@@ -20,10 +20,16 @@ type entry = Free | Reserved | Programmed of slot
    with lazy re-verification. Any DRAM mutation (engine write, page
    scrub, or an attacker writing through [Phys_mem.borrow]) bumps the
    frame version and so invalidates the cached verification without
-   the engine having to see the write. -1 = never verified. *)
+   the engine having to see the write. -1 = never verified.
+   [zeroed_v] is the frame write version at which the engine itself
+   stored an all-zero page into this line (-1 = not a zero store, or
+   the mark was flushed): while the frame version still matches, DRAM
+   holds exactly that ciphertext and a repeated zero store is skipped
+   (see [write_zero_page]). *)
 type line = {
   tag : int;
   mutable verified_v : int;
+  mutable zeroed_v : int;
 }
 
 type t = {
@@ -46,6 +52,7 @@ type t = {
   range_updates : int Atomic.t;
   mac_failures : int Atomic.t;
   mac_cache_hits : int Atomic.t;
+  zero_store_skips : int Atomic.t;
 }
 
 let create ?(reference_mac = false) ~slots () =
@@ -67,6 +74,7 @@ let create ?(reference_mac = false) ~slots () =
     range_updates = Atomic.make 0;
     mac_failures = Atomic.make 0;
     mac_cache_hits = Atomic.make 0;
+    zero_store_skips = Atomic.make 0;
   }
 
 let set_fault_injector t inj = t.faults <- Some inj
@@ -143,13 +151,15 @@ let tweak_for ~frame =
 (* Record the line MAC over freshly produced ciphertext. [verified_v]
    carries the DRAM write version when the ciphertext lives in a
    tracked frame (the engine just produced those bytes, so they are
-   verified by construction) and -1 for detached buffers. *)
-let record_line t ~key_id ~frame ~tag ~verified_v =
+   verified by construction) and -1 for detached buffers. [zeroed_v]
+   is the line's zero-store mark: the version for the engine's own
+   zero-page stores, -1 for every other store. *)
+let record_line t ~key_id ~frame ~tag ~verified_v ~zeroed_v =
   Atomic.incr t.stores;
   Mutex.protect t.lock (fun () ->
-      Hashtbl.replace t.macs (key_id, frame) { tag; verified_v })
+      Hashtbl.replace t.macs (key_id, frame) { tag; verified_v; zeroed_v })
 
-let store_into_v t ~key_id ~frame ~src ~dst ~verified_v =
+let store_into_v t ~key_id ~frame ~src ~dst ~verified_v ~zeroed_v =
   let len = Bytes.length src in
   if Bytes.length dst <> len then invalid_arg "Mem_encryption.store_into: length mismatch";
   if key_id = 0 then begin
@@ -159,10 +169,11 @@ let store_into_v t ~key_id ~frame ~src ~dst ~verified_v =
     let slot = slot_exn t key_id in
     Hypertee_crypto.Aes.ctr_into slot.key ~nonce:(tweak_for ~frame) ~src ~src_off:0 ~dst
       ~dst_off:0 len;
-    record_line t ~key_id ~frame ~tag:(line_mac t dst) ~verified_v
+    record_line t ~key_id ~frame ~tag:(line_mac t dst) ~verified_v ~zeroed_v
   end
 
-let store_into t ~key_id ~frame ~src ~dst = store_into_v t ~key_id ~frame ~src ~dst ~verified_v:(-1)
+let store_into t ~key_id ~frame ~src ~dst =
+  store_into_v t ~key_id ~frame ~src ~dst ~verified_v:(-1) ~zeroed_v:(-1)
 
 let store t ~key_id ~frame data =
   if key_id = 0 then data
@@ -335,6 +346,37 @@ let write_page t mem ~key_id ~frame src =
        line is verified by construction at the version the borrow
        just bumped to: the next read skips the sponge. *)
     store_into_v t ~key_id ~frame ~src ~dst:dram ~verified_v:(Phys_mem.version mem ~frame)
+      ~zeroed_v:(-1)
+
+(* The zero-page store (page initialisation and scrub). When the
+   engine itself zero-stored this line and the frame's write version
+   has not moved since, DRAM already holds exactly the ciphertext the
+   store would produce and the line already carries its tag, so the
+   AES-CTR + MAC store is skipped. The mark rides the same
+   write-version invariant as the verified-line cache: any DRAM write
+   or [borrow] bumps the version, [revoke]/[program] drop the line,
+   [flush_mac_cache] clears the mark, and every other store replaces
+   the line unmarked — each forces the next zero store to be real.
+   The [reference_mac] baseline engine never skips; KeyID 0 keeps no
+   lines, so its zero store is always the plain fill. *)
+let write_zero_page t mem ~key_id ~frame =
+  let v = Phys_mem.version mem ~frame in
+  let current =
+    (not t.reference_mac)
+    && Mutex.protect t.lock (fun () ->
+           match Hashtbl.find_opt t.macs (key_id, frame) with
+           | Some ln -> ln.zeroed_v = v
+           | None -> false)
+  in
+  if current then Atomic.incr t.zero_store_skips
+  else begin
+    (* Encrypt in place: zero the DRAM page, then CTR it under the
+       line's key — byte-identical to storing a zero buffer. *)
+    let dram = Phys_mem.borrow mem ~frame in
+    Bytes.fill dram 0 page_size '\000';
+    let v = Phys_mem.version mem ~frame in
+    store_into_v t ~key_id ~frame ~src:dram ~dst:dram ~verified_v:v ~zeroed_v:v
+  end
 
 let update_range t mem ~key_id ~frame ~off ~src ~src_off ~len =
   if off < 0 || len < 0 || off + len > page_size then
@@ -360,15 +402,20 @@ let update_range t mem ~key_id ~frame ~off ~src ~src_off ~len =
     Hypertee_crypto.Aes.ctr_into slot.key ~nonce:(tweak_for ~frame) ~stream_off:off ~src
       ~src_off ~dst:dram ~dst_off:off len;
     record_line t ~key_id ~frame ~tag:(line_mac t dram)
-      ~verified_v:(Phys_mem.version mem ~frame)
+      ~verified_v:(Phys_mem.version mem ~frame) ~zeroed_v:(-1)
   end
 
-(* Invalidate every cached verification (the MACs themselves stay):
-   the deep invariant sweep calls this first so its [read_page] pass
-   re-verifies every mapped line instead of trusting the cache, and
-   the perf harness uses it to measure the cold path. *)
+(* Invalidate every cached verification and zero-store mark (the MACs
+   themselves stay): the deep invariant sweep calls this first so its
+   [read_page] pass re-verifies every mapped line instead of trusting
+   the cache, and the perf harness uses it to measure the cold path. *)
 let flush_mac_cache t =
-  Mutex.protect t.lock (fun () -> Hashtbl.iter (fun _ ln -> ln.verified_v <- -1) t.macs)
+  Mutex.protect t.lock (fun () ->
+      Hashtbl.iter
+        (fun _ ln ->
+          ln.verified_v <- -1;
+          ln.zeroed_v <- -1)
+        t.macs)
 
 (* --- Bulk page pipelines. Each page's encrypt/MAC (or MAC-check/
    decrypt) is independent of every other page's, so with a worker
@@ -423,4 +470,6 @@ let publish_metrics t registry =
   set "mac_failures" "integrity-check failures" (Atomic.get t.mac_failures);
   set "mac_cache_hits" "integrity checks skipped by the verified-line cache"
     (Atomic.get t.mac_cache_hits);
+  set "zero_store_skips" "redundant zero-page stores skipped"
+    (Atomic.get t.zero_store_skips);
   set "bit_flips" "injected DRAM bit flips" (Atomic.get t.bit_flips)

@@ -22,7 +22,13 @@
     aliases, i.e. physical tampering) bumps the frame version and so
     forces re-verification; injected bit flips corrupt the arriving
     copy and always bypass the cache; [revoke]/[program] drop the
-    key's lines outright. *)
+    key's lines outright.
+
+    Zero-store fast path: {!write_zero_page} skips the store when the
+    engine itself zero-stored the line and the frame's write version
+    has not moved since. It rides the same invariant: every event
+    that invalidates a cached verification, and any other store to
+    the line, forces a real store. *)
 
 exception Integrity_violation of { frame : int }
 
@@ -89,6 +95,16 @@ val read_range : t -> Phys_mem.t -> key_id:int -> frame:int -> off:int -> len:in
     directly into the frame's DRAM buffer and records the MAC. *)
 val write_page : t -> Phys_mem.t -> key_id:int -> frame:int -> bytes -> unit
 
+(** [write_zero_page t mem ~key_id ~frame] stores an all-zero page:
+    DRAM and the line MAC end byte-identical to [write_page] of a
+    zero page. The AES-CTR + MAC store is skipped when this engine
+    zero-stored the [(key_id, frame)] line and {!Phys_mem.version}
+    has not moved since, because DRAM already holds exactly those
+    bytes. Any DRAM write, [borrow], [revoke], [program], other store
+    to the line or [flush_mac_cache] forces a real store; a
+    [reference_mac] engine never skips. *)
+val write_zero_page : t -> Phys_mem.t -> key_id:int -> frame:int -> unit
+
 (** [update_range t mem ~key_id ~frame ~off ~src ~src_off ~len]
     read-modify-writes a sub-range of an encrypted frame in place.
     The stale line's integrity is verified first (a tampered page
@@ -131,10 +147,11 @@ val bit_flips : t -> int
 (** Integrity checks skipped by the verified-line cache so far. *)
 val mac_cache_hits : t -> int
 
-(** [flush_mac_cache t] marks every cached line unverified (the MACs
-    themselves are kept). The deep invariant sweep calls this before
-    re-reading every mapped page so the sweep genuinely re-verifies;
-    the perf harness uses it to measure the cold read path. *)
+(** [flush_mac_cache t] marks every cached line unverified and clears
+    every zero-store mark (the MACs themselves are kept). The deep
+    invariant sweep calls this before re-reading every mapped page so
+    the sweep genuinely re-verifies; the perf harness uses it to
+    measure the cold read path. *)
 val flush_mac_cache : t -> unit
 
 (** Timing: extra nanoseconds an off-chip access pays for decryption
@@ -142,7 +159,8 @@ val flush_mac_cache : t -> unit
 val extra_ns : Config.mem_latency -> cs_ghz:float -> float
 
 (** Snapshot engine counters (stores, loads, range ops, MAC
-    failures, cache hits, bit flips) into a metrics registry under
-    [mee.*]. Counters are atomics, so the snapshot is race-free
-    against concurrent bulk pipelines and takes no engine lock. *)
+    failures, cache hits, skipped zero stores, bit flips) into a
+    metrics registry under [mee.*]. Counters are atomics, so the
+    snapshot is race-free against concurrent bulk pipelines and
+    takes no engine lock. *)
 val publish_metrics : t -> Hypertee_obs.Metrics.t -> unit

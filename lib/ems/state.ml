@@ -110,11 +110,9 @@ let take_pool_frames t ~n =
 (* Initialise a freshly mapped page through the encryption engine so
    DRAM holds valid (encrypted-zero) content with a valid MAC; an
    uninitialised line would otherwise MAC-fault on first load. The
-   zero page is shared and only ever read. *)
-let zero_page = Bytes.make Hypertee_util.Units.page_size '\000'
-
-let store_zero_page t ~key_id ~frame =
-  Mem_encryption.write_page t.mee t.mem ~key_id ~frame zero_page
+   engine skips the store when the line already holds it (a scrub of
+   a page nobody wrote since its last zero store). *)
+let store_zero_page t ~key_id ~frame = Mem_encryption.write_zero_page t.mee t.mem ~key_id ~frame
 
 let map_private_page t (e : Enclave.t) ~vpn ~frame ~r ~w ~x =
   if not (Ownership.claim_private t.ownership ~frame ~enclave:e.Enclave.id) then

@@ -147,7 +147,9 @@ val check_identity :
 (** Take [n] free frames from the pool, or [Error Out_of_memory]. *)
 val take_pool_frames : t -> n:int -> (int list, Types.error) result
 
-(** Write an encrypted all-zero page into [frame] under [key_id]. *)
+(** Write an encrypted all-zero page into [frame] under [key_id]
+    ({!Hypertee_arch.Mem_encryption.write_zero_page}: skipped when
+    the line already holds one and DRAM has not been written since). *)
 val store_zero_page : t -> key_id:int -> frame:int -> unit
 
 (** Map [vpn] to [frame] in the enclave's table and record

@@ -11,6 +11,11 @@ module Sdk = Hypertee.Sdk
 module Cloud = Hypertee_experiments.Cloud
 module Tenants = Hypertee_workloads.Tenants
 module Xrng = Hypertee_util.Xrng
+module Session = Hypertee.Session
+module Mem_encryption = Hypertee_arch.Mem_encryption
+module Page_table = Hypertee_arch.Page_table
+module Pte = Hypertee_arch.Pte
+module Metrics = Hypertee_obs.Metrics
 
 let prop = QCheck_alcotest.to_alcotest ~speed_level:`Quick
 
@@ -148,6 +153,70 @@ let prop_warm_measurement_identical =
          | Ok (_, `Cold) -> QCheck.Test.fail_reportf "EWARM missed the enclave just parked"
          | Error m -> QCheck.Test.fail_reportf "warm_launch: %s" m)))
 
+(* --- ERETIRE scrub: tenant bytes a session wrote into heap or stack
+   never reach the next warm session, and the scrub of pages nobody
+   wrote since the last one (a skipped zero store) leaves them just as
+   clean. --- *)
+
+let page_size = Hypertee_util.Units.page_size
+
+let mee_stores platform =
+  let registry = Metrics.create () in
+  Platform.publish_metrics platform registry;
+  Metrics.counter_value (Metrics.counter registry "mee.stores")
+
+(* The plaintext of the enclave's page at [va], read straight through
+   the MEE under the enclave's KeyID. *)
+let mee_page platform ~enclave ~va =
+  match Platform.find_enclave platform enclave with
+  | None -> Alcotest.fail "enclave not found"
+  | Some e -> (
+    match Page_table.lookup e.Hypertee_ems.Enclave.page_table ~vpn:(va / page_size) with
+    | None -> Alcotest.failf "va 0x%x not mapped" va
+    | Some pte ->
+      Mem_encryption.read_page (Platform.Internals.mee platform) (Platform.mem platform)
+        ~key_id:pte.Pte.key_id ~frame:pte.Pte.ppn)
+
+let test_retire_scrubs_heap_and_stack () =
+  let platform = Platform.create ~seed:0x5C2BL () in
+  let image =
+    Sdk.image_of_code ~config:small_config ~code:(Bytes.of_string "scrub test")
+      ~data:(Bytes.of_string "static data") ()
+  in
+  let ok what = function Ok v -> v | Error m -> Alcotest.failf "%s: %s" what m in
+  let enclave = ok "launch" (Sdk.launch platform image) in
+  let session = ok "enter" (Sdk.enter platform ~enclave) in
+  let heap = Session.heap_va session and stack = Session.stack_va session in
+  let marker = Bytes.of_string "tenant secret" in
+  Session.write session ~va:heap marker;
+  Session.write session ~va:stack marker;
+  (match Session.exit session with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "exit: %s" (Types.error_message e));
+  Alcotest.(check bytes) "marker landed in the heap" marker
+    (Bytes.sub (mee_page platform ~enclave ~va:heap) 0 (Bytes.length marker));
+  let zeros = Bytes.make page_size '\000' in
+  let retire_and_revive label =
+    let stores = mee_stores platform in
+    ok "retire" (Sdk.retire platform ~enclave);
+    let stored = mee_stores platform - stores in
+    (match ok "warm launch" (Sdk.warm_launch platform image) with
+    | id, `Warm -> Alcotest.(check int) (label ^ ": same enclave revived") enclave id
+    | _, `Cold -> Alcotest.failf "%s: warm pool missed" label);
+    Alcotest.(check bytes) (label ^ ": heap page zeroed") zeros
+      (mee_page platform ~enclave ~va:heap);
+    Alcotest.(check bytes) (label ^ ": stack page zeroed") zeros
+      (mee_page platform ~enclave ~va:stack);
+    stored
+  in
+  (* The first retire really scrubs exactly the two written pages. *)
+  Alcotest.(check int) "first retire stores the written pages" 2 (retire_and_revive "first");
+  (* Nothing wrote since: the second retire's scrub is all skips. *)
+  Alcotest.(check int) "second retire stores nothing" 0 (retire_and_revive "second");
+  let report = Platform.check ~deep:true platform in
+  if not (Hypertee_check.Invariant.ok report) then
+    Alcotest.failf "deep sweep: %s" (Hypertee_check.Invariant.report_to_string report)
+
 (* --- Closed-loop smoke run of the cloud driver: a tiny tenant fleet
    must complete sessions, hit the warm pool, and leave the platform
    clean under the deep sweep and the oracle. --- *)
@@ -169,6 +238,8 @@ let suite =
       [
         prop_admission_caps;
         prop_warm_measurement_identical;
+        Alcotest.test_case "ERETIRE scrubs heap and stack, skipped or not" `Quick
+          test_retire_scrubs_heap_and_stack;
         Alcotest.test_case "closed-loop smoke: clean, warm hits, progress" `Quick
           test_cloud_closed_smoke;
       ] );

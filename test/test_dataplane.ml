@@ -6,6 +6,7 @@ module Phys_mem = Hypertee_arch.Phys_mem
 module Mem_encryption = Hypertee_arch.Mem_encryption
 module Bx = Hypertee_util.Bytes_ext
 module Perf = Hypertee_experiments.Perf
+module Metrics = Hypertee_obs.Metrics
 
 let check = Alcotest.check
 let prop = QCheck_alcotest.to_alcotest ~speed_level:`Quick
@@ -40,7 +41,10 @@ let test_key0_passthrough () =
   check Alcotest.bytes "key 0 reads back" page (Mem_encryption.read_page mee mem ~key_id:0 ~frame:1);
   Bytes.set page 0 'X';
   check Alcotest.bool "write_page copied, not aliased" false
-    (Bytes.equal page (Phys_mem.read mem ~frame:1))
+    (Bytes.equal page (Phys_mem.read mem ~frame:1));
+  Mem_encryption.write_zero_page mee mem ~key_id:0 ~frame:1;
+  check Alcotest.bytes "key 0 zero store is plaintext zeros" (Bytes.make page_size '\000')
+    (Phys_mem.read mem ~frame:1)
 
 let prop_read_range =
   prop
@@ -193,6 +197,148 @@ let test_engines_produce_identical_ciphertext () =
   check Alcotest.bytes "ciphertext identical across MAC engines"
     (mk ~reference_mac:false) (mk ~reference_mac:true)
 
+(* --- Zero-store skip: a repeated zero store of an untouched line is
+   skipped, and every event that could have changed the line's DRAM
+   bytes or key forces a real store. --- *)
+
+(* An engine counter as [publish_metrics] reports it. *)
+let mee_counter mee name =
+  let registry = Metrics.create () in
+  Mem_encryption.publish_metrics mee registry;
+  Metrics.counter_value (Metrics.counter registry ("mee." ^ name))
+
+let zeros = Bytes.make page_size '\000'
+
+let test_zero_store_skip_untouched () =
+  let mee, mem = fresh () in
+  Mem_encryption.write_zero_page mee mem ~key_id:1 ~frame:2;
+  let dram = Phys_mem.read mem ~frame:2 in
+  (* The real zero store lays down what [write_page] of a zero page
+     does on a fresh engine. *)
+  let mee', mem' = fresh () in
+  Mem_encryption.write_page mee' mem' ~key_id:1 ~frame:2 (Bytes.copy zeros);
+  check Alcotest.bytes "zero store = write_page of zeros" (Phys_mem.read mem' ~frame:2) dram;
+  let stores = mee_counter mee "stores" in
+  Mem_encryption.write_zero_page mee mem ~key_id:1 ~frame:2;
+  check Alcotest.int "second zero store skipped" stores (mee_counter mee "stores");
+  check Alcotest.int "skip counted" 1 (mee_counter mee "zero_store_skips");
+  check Alcotest.bytes "DRAM untouched" dram (Phys_mem.read mem ~frame:2);
+  check Alcotest.bytes "still reads back as zeros" zeros
+    (Mem_encryption.read_page mee mem ~key_id:1 ~frame:2)
+
+(* Zero-store [frame] under KeyID 1, apply [event], zero-store again:
+   the second store must be real and the page must read back as
+   zeros under KeyID 1's current key. *)
+let forces_real_store name event () =
+  let mee, mem = fresh () in
+  Mem_encryption.write_zero_page mee mem ~key_id:1 ~frame:3;
+  event mee mem;
+  let stores = mee_counter mee "stores" in
+  Mem_encryption.write_zero_page mee mem ~key_id:1 ~frame:3;
+  check Alcotest.int (name ^ ": real store") (stores + 1) (mee_counter mee "stores");
+  check Alcotest.int (name ^ ": nothing skipped") 0 (mee_counter mee "zero_store_skips");
+  check Alcotest.bytes (name ^ ": reads back as zeros") zeros
+    (Mem_encryption.read_page mee mem ~key_id:1 ~frame:3)
+
+let after_borrow =
+  forces_real_store "borrow" (fun _ mem -> ignore (Phys_mem.borrow mem ~frame:3 : bytes))
+
+let after_write_page =
+  forces_real_store "write_page" (fun mee mem ->
+      Mem_encryption.write_page mee mem ~key_id:1 ~frame:3 (patterned 47))
+
+let after_rekey =
+  forces_real_store "revoke + program" (fun mee _ ->
+      Mem_encryption.revoke mee ~key_id:1;
+      Mem_encryption.program mee ~key_id:1 (Bytes.make 16 'C'))
+
+let after_flush = forces_real_store "flush" (fun mee _ -> Mem_encryption.flush_mac_cache mee)
+
+let test_reference_engine_never_skips () =
+  let mee = Mem_encryption.create ~reference_mac:true ~slots:4 () in
+  Mem_encryption.program mee ~key_id:1 (Bytes.make 16 'A');
+  let mem = Phys_mem.create ~frames:4 in
+  Mem_encryption.write_zero_page mee mem ~key_id:1 ~frame:1;
+  Mem_encryption.write_zero_page mee mem ~key_id:1 ~frame:1;
+  check Alcotest.int "both stores real" 2 (mee_counter mee "stores");
+  check Alcotest.int "no skips" 0 (mee_counter mee "zero_store_skips")
+
+(* Random traffic over 3 frames x 2 KeyIDs, replayed on the fast
+   engine (which skips zero stores and caches verifications) and on
+   the reference engine (which does neither): DRAM and every read's
+   outcome must agree byte for byte. *)
+type op =
+  | Zero of int * int (* frame, key_id *)
+  | Write of int * int * int (* frame, key_id, pattern *)
+  | Tamper of int * int (* frame, byte *)
+  | Read of int * int (* frame, key_id *)
+  | Rekey of int * char (* key_id, key byte *)
+  | Flush
+
+let show_op = function
+  | Zero (f, k) -> Printf.sprintf "zero f%d k%d" f k
+  | Write (f, k, p) -> Printf.sprintf "write f%d k%d p%d" f k p
+  | Tamper (f, b) -> Printf.sprintf "tamper f%d @%d" f b
+  | Read (f, k) -> Printf.sprintf "read f%d k%d" f k
+  | Rekey (k, c) -> Printf.sprintf "rekey k%d %C" k c
+  | Flush -> "flush"
+
+let op_gen =
+  let open QCheck.Gen in
+  let frame = int_range 0 2 and key = int_range 1 2 in
+  frequency
+    [
+      (4, map2 (fun f k -> Zero (f, k)) frame key);
+      (2, map3 (fun f k p -> Write (f, k, p)) frame key (int_range 1 255));
+      (1, map2 (fun f b -> Tamper (f, b)) frame (int_range 0 (page_size - 1)));
+      (3, map2 (fun f k -> Read (f, k)) frame key);
+      (1, map2 (fun k c -> Rekey (k, c)) key (oneofl [ 'A'; 'B'; 'C' ]));
+      (1, return Flush);
+    ]
+
+let replay ~reference_mac ops =
+  let mee = Mem_encryption.create ~reference_mac ~slots:4 () in
+  Mem_encryption.program mee ~key_id:1 (Bytes.make 16 'A');
+  Mem_encryption.program mee ~key_id:2 (Bytes.make 16 'B');
+  let mem = Phys_mem.create ~frames:3 in
+  let reads =
+    List.filter_map
+      (function
+        | Zero (frame, key_id) ->
+          Mem_encryption.write_zero_page mee mem ~key_id ~frame;
+          None
+        | Write (frame, key_id, p) ->
+          Mem_encryption.write_page mee mem ~key_id ~frame (patterned p);
+          None
+        | Tamper (frame, byte) ->
+          let dram = Phys_mem.borrow mem ~frame in
+          Bytes.set dram byte (Char.chr (Char.code (Bytes.get dram byte) lxor 0x01));
+          None
+        | Read (frame, key_id) -> (
+          match Mem_encryption.read_page mee mem ~key_id ~frame with
+          | page -> Some (Some page)
+          | exception Mem_encryption.Integrity_violation _ -> Some None)
+        | Rekey (key_id, c) ->
+          Mem_encryption.revoke mee ~key_id;
+          Mem_encryption.program mee ~key_id (Bytes.make 16 c);
+          None
+        | Flush ->
+          Mem_encryption.flush_mac_cache mee;
+          None)
+      ops
+  in
+  (reads, List.init 3 (fun frame -> Phys_mem.read mem ~frame))
+
+let prop_zero_skip_matches_reference =
+  prop
+    (QCheck.Test.make ~name:"zero-store skip: fast engine = reference engine" ~count:300
+       QCheck.(
+         make
+           ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+           ~shrink:Shrink.list
+           Gen.(list_size (int_range 1 40) op_gen))
+       (fun ops -> replay ~reference_mac:false ops = replay ~reference_mac:true ops))
+
 (* --- FIPS 202 known-answer tests and fast-vs-reference equivalence
    for the unrolled Keccak. --- *)
 
@@ -332,7 +478,7 @@ let test_perf_run_and_json () =
     (fun target ->
       check Alcotest.bool (target ^ " latency present") true
         (Perf.find samples ~target ~metric:"latency" <> None))
-    [ "pt-walk"; "session-rw/64B"; "ealloc-efree/4pages" ];
+    [ "pt-walk"; "session-rw/64B"; "ealloc-efree/4pages"; "eretire" ];
   (* Every speedup-vs-reference ratio must compare like with like:
      its two sides are the samples [target] and [target-reference],
      and both must exist and measure the same unit of work (same
@@ -421,6 +567,14 @@ let suite =
           test_reference_mac_engine_never_caches;
         Alcotest.test_case "fast and reference ciphertext identical" `Quick
           test_engines_produce_identical_ciphertext;
+        Alcotest.test_case "untouched zero store skipped" `Quick test_zero_store_skip_untouched;
+        Alcotest.test_case "borrow forces a real zero store" `Quick after_borrow;
+        Alcotest.test_case "write_page forces a real zero store" `Quick after_write_page;
+        Alcotest.test_case "revoke + program forces a real zero store" `Quick after_rekey;
+        Alcotest.test_case "flush forces a real zero store" `Quick after_flush;
+        Alcotest.test_case "reference engine never skips" `Quick
+          test_reference_engine_never_skips;
+        prop_zero_skip_matches_reference;
       ] );
     ( "dataplane.keccak",
       [
