@@ -1,4 +1,4 @@
-.PHONY: all build test test-parallel sweep chaos-smoke chaos-restart check-invariants conformance bench-perf bench-parallel bench-cloud cloud-pin bench-smoke check doc fmt clean
+.PHONY: all build test sweep fanout-pin chaos-smoke chaos-restart check-invariants conformance bench-perf bench-cloud cloud-pin registry-pins bench-smoke check doc fmt clean
 
 all: build
 
@@ -7,17 +7,6 @@ build:
 
 test: build
 	dune runtest
-
-# The simulator suite (test/) again with every platform forced into
-# parallel mode (4 worker domains, HYPERTEE_EXEC override): parallel
-# execution is bit-identical to deterministic mode by construction,
-# so the exact same assertions must hold. The perfbench/ self-tests
-# are left out on purpose: the benchmark refuses any
-# non-deterministic exec mode by contract, and `test` already runs
-# them. --force because dune caches runtest results per build, not
-# per environment.
-test-parallel: build
-	HYPERTEE_EXEC=parallel:4 dune build @test/runtest --force
 
 # The deterministic sweep at CI size: every paper table and figure
 # (Tables I-VI, Figs. 6-12, ablations), then the chaos and scale
@@ -37,6 +26,26 @@ sweep: build
 		echo "sweep: all --quick md5=$$got, pinned $(SWEEP_PIN)" >&2; exit 1; \
 	fi; \
 	echo "sweep: all --quick md5=$$got ok"
+
+# The same sweeps with their independent platforms fanned over two
+# worker domains, one platform per domain (HYPERTEE_EXEC=parallel:2):
+# `all --quick` must still hash to SWEEP_PIN and `cloud --quick` must
+# still `cmp` equal to BENCH_cloud.json. Any other byte means state
+# leaks between platforms that run on different domains.
+fanout-pin: build
+	@out=$$(mktemp); \
+	HYPERTEE_EXEC=parallel:2 ./_build/default/bin/hypertee_cli.exe all --quick > $$out \
+		|| { rm -f $$out; echo "fanout-pin: all --quick exited nonzero" >&2; exit 1; }; \
+	got=$$(md5sum < $$out | cut -d' ' -f1); \
+	if [ "$$got" != "$(SWEEP_PIN)" ]; then \
+		rm -f $$out; \
+		echo "fanout-pin: all --quick md5=$$got under parallel:2, pinned $(SWEEP_PIN)" >&2; exit 1; \
+	fi; \
+	HYPERTEE_EXEC=parallel:2 ./_build/default/bin/hypertee_cli.exe cloud --quick --out $$out \
+		> /dev/null || { rm -f $$out; echo "fanout-pin: cloud --quick exited nonzero" >&2; exit 1; }; \
+	cmp $$out BENCH_cloud.json \
+		|| { rm -f $$out; echo "fanout-pin: cloud --quick differs from BENCH_cloud.json" >&2; exit 1; }; \
+	rm -f $$out; echo "fanout-pin: all --quick and cloud --quick under parallel:2 match their pins"
 
 # Deterministic quick availability sweep: exercises the fault injector,
 # EMCall retry/timeout, the EMS watchdog and integrity containment.
@@ -66,15 +75,6 @@ chaos-restart: build
 # rewritten).
 bench-perf: build
 	dune exec bin/hypertee_cli.exe -- perf --quick --out BENCH_perf.json --baseline BENCH_perf.json
-
-# bench-perf plus the domain-parallel comparison: scale-point
-# makespan and MEE bulk-pipeline throughput, single-domain vs fanned
-# over 4 worker domains (HYPERTEE_EXEC=parallel:N overrides), with
-# speedup ratios recorded alongside the host block (the ratios only
-# mean something relative to the parallelism the machine offers).
-bench-parallel: build
-	dune exec bin/hypertee_cli.exe -- perf-parallel --quick --out BENCH_perf.json \
-		--baseline BENCH_perf.json
 
 # Enclave-as-a-service SLO sweep: the multi-tenant cloud driver
 # (open-loop offered-load ladder + closed loop per shard count, warm
@@ -119,6 +119,33 @@ bench-smoke: build
 		echo "bench-smoke: $$w modelled_hash=$$got ok"; \
 	done
 
+# The deterministic registry entries outside `all`, each pinned by
+# the md5 of its --quick stdout in the SWEEP_PIN style: `rebalance`
+# and `check` drive Emcall.invoke_batch, `metrics` the observability
+# counters, `conformance` the secure-channel vectors. Fails on a
+# nonzero exit (the entry's verdict) or on any other digest: all four
+# are on the modelled clock, so a new digest is a change to the model,
+# to be re-pinned here on purpose.
+REGISTRY_PINS = rebalance:7cf0369e35dc4584cbca8c6b02922610 \
+	check:55aa291476257570b831f64fcbce4367 \
+	metrics:695d687f9fae3d417b1fefb90c42640a \
+	conformance:264a8821658feaee5f3d2e2b33897be7
+
+registry-pins: build
+	@out=$$(mktemp); \
+	for pin in $(REGISTRY_PINS); do \
+		e=$${pin%%:*}; want=$${pin#*:}; \
+		./_build/default/bin/hypertee_cli.exe $$e --quick > $$out \
+			|| { cat $$out; rm -f $$out; echo "registry-pins: $$e --quick exited nonzero" >&2; exit 1; }; \
+		got=$$(md5sum < $$out | cut -d' ' -f1); \
+		if [ "$$got" != "$$want" ]; then \
+			rm -f $$out; \
+			echo "registry-pins: $$e --quick md5=$$got, pinned $$want" >&2; exit 1; \
+		fi; \
+		echo "registry-pins: $$e --quick md5=$$got ok"; \
+	done; \
+	rm -f $$out
+
 # Differential oracle + invariant sweep: replays a clean and a
 # fault-injected management workload under the EMCall oracle, then
 # runs a reduced explorer pass. Deterministic; exits non-zero on any
@@ -134,14 +161,15 @@ conformance: build
 	dune exec bin/hypertee_cli.exe -- conformance
 
 # The gate for a change: everything builds, the full test suite is
-# green in both execution modes, the deterministic sweep (paper
-# tables and figures, chaos and scale smoke) is clean and hashes to
-# its pin, the rolling restart recovers every shard with nothing lost
-# and reproduces CHAOS_restart.txt, the cloud sweep reproduces
-# BENCH_cloud.json, the oracle/invariant pass holds, the
-# secure-channel conformance vectors all pass, and the benchmark's
-# seed-1 modelled hashes are the pinned ones.
-check: build test test-parallel sweep chaos-restart cloud-pin check-invariants conformance bench-smoke
+# green, the deterministic sweep (paper tables and figures, chaos and
+# scale smoke) is clean and hashes to its pin, and so does its
+# fan-out over two domains, the rolling restart recovers every shard
+# with nothing lost and reproduces CHAOS_restart.txt, the cloud sweep
+# reproduces BENCH_cloud.json, `rebalance`, the oracle/invariant pass
+# (`check`), `metrics` and the secure-channel conformance vectors
+# pass and hash to their pins, and the benchmark's seed-1 modelled
+# hashes are the pinned ones.
+check: build test sweep fanout-pin chaos-restart cloud-pin registry-pins bench-smoke
 
 # API reference from the .mli doc comments, built with odoc into
 # _build/default/_doc/_html. Skips with a notice when odoc is absent,

@@ -3,8 +3,11 @@
    Every experiment is an entry of Hypertee_experiments.Registry and
    gets a subcommand here: the paper's tables and figures (table1 ..
    table6, fig6 .. fig12, ablations), chaos, scale, cloud, restart,
-   rebalance, check, conformance, metrics, perf and perf-parallel.
+   rebalance, check, conformance, metrics and perf.
    [all] runs the deterministic sweep (paper entries, chaos, scale).
+   HYPERTEE_EXEC=parallel:<n> fans the independent platforms of the
+   cloud, chaos and scale sweeps over n domains, one platform per
+   domain; the output is byte-identical to the default mode.
    Each entry's verdict sets the exit code. Five plain commands sit
    beside them:
      info                     platform and configuration summary

@@ -5,9 +5,10 @@ type t = {
   lock : Mutex.t;
       (* Bits are packed eight frames to a byte, so [update] is a
          read-modify-write of a byte shared between adjacent frames:
-         two shards flipping neighbouring frames' bits in parallel
-         would lose one flip without the lock. [get] stays lockless —
-         a single byte read observes its own frame's bit correctly
+         two domains flipping neighbouring frames' bits at once would
+         lose one flip without the lock. A platform runs on one
+         domain, so the lock is safety code. [get] stays lockless — a
+         single byte read observes its own frame's bit correctly
          regardless of concurrent updates to sibling bits. *)
 }
 

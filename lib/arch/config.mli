@@ -103,9 +103,11 @@ type t = {
   ems_memory_mb : int;  (** EMS private memory *)
   context_switch_hz : float;  (** CS OS scheduler tick *)
   domains : int;
-      (** OCaml domains the platform may use: 1 = deterministic
-          single-domain execution (the default), >1 = parallel
-          shard drains and crypto pipelines (see {!Hypertee_sim.Exec}) *)
+      (** OCaml domains the platform may use. Must be 1: a platform
+          runs on the domain that created it, and
+          [Hypertee.Platform.create] rejects any other value. Sweeps
+          run whole platforms in parallel instead (see
+          {!Hypertee_sim.Exec.map}). *)
 }
 
 (** 4 CS cores, 1 medium EMS core, crypto engine on, 256 MiB. *)

@@ -22,11 +22,11 @@ type ('req, 'resp) t = {
   mutable duplicated : int;
   mutable corrupt_detected : int;
   lock : Mutex.t;
-      (* The gate posts and polls from its own domain while the
-         owning shard drains on another: every public operation runs
-         under this lock, which preserves the exactly-once retransmit
-         semantics unchanged (each operation was already atomic with
-         respect to the others in single-domain execution). *)
+      (* Every public operation runs under this lock. A platform's
+         gate and shards run on one domain, so it is never contended;
+         it is kept as safety code, and preserves the exactly-once
+         retransmit semantics unchanged (each operation is atomic
+         with respect to the others either way). *)
 }
 
 let create ?(depth = 64) () =

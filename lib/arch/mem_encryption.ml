@@ -5,11 +5,11 @@ type slot = {
   raw : bytes;
 }
 
-(* Slot lifecycle. [Reserved] closes the allocation race the parallel
-   audit found: callers allocate with [find_free_slot] and only later
-   [program] the derived key, so without an intermediate state two
-   shards could claim the same KeyID. [find_free_slot] now atomically
-   reserves; [program] commits; [revoke] releases from either state. *)
+(* Slot lifecycle. Callers allocate with [find_free_slot] and only
+   later [program] the derived key, so without an intermediate state
+   two allocations could claim the same KeyID. [find_free_slot]
+   atomically reserves; [program] commits; [revoke] releases from
+   either state. *)
 type entry = Free | Reserved | Programmed of slot
 
 (* Per-line integrity state. [tag] is the 28-bit truncated SHA-3 MAC
@@ -39,12 +39,11 @@ type t = {
   mac_keyed : Hypertee_crypto.Keccak.keyed; (* post-key sponge snapshot *)
   reference_mac : bool; (* perf baseline: reference sponge, no cache *)
   lock : Mutex.t; (* guards table transitions and macs *)
-  mutable pool : Hypertee_util.Domain_pool.t option;
   mutable faults : Hypertee_faults.Fault.t option;
-  (* Hot counters are atomics, not lock-guarded fields: the parallel
-     bulk pipelines bump them from worker domains while
-     [publish_metrics] snapshots them, and a mutex around each bump
-     would serialize the data plane for bookkeeping. *)
+  (* Hot counters are atomics, not lock-guarded fields, so
+     [publish_metrics] can snapshot them without the engine lock. An
+     engine serves one platform on one domain; the lock and atomics
+     are kept as safety code. *)
   bit_flips : int Atomic.t;
   stores : int Atomic.t;
   loads : int Atomic.t;
@@ -65,7 +64,6 @@ let create ?(reference_mac = false) ~slots () =
     mac_keyed = Hypertee_crypto.Keccak.keyed_init ~key:mac_key;
     reference_mac;
     lock = Mutex.create ();
-    pool = None;
     faults = None;
     bit_flips = Atomic.make 0;
     stores = Atomic.make 0;
@@ -78,7 +76,6 @@ let create ?(reference_mac = false) ~slots () =
   }
 
 let set_fault_injector t inj = t.faults <- Some inj
-let set_pool t pool = t.pool <- Some pool
 let bit_flips t = t.bit_flips |> Atomic.get
 let mac_cache_hits t = t.mac_cache_hits |> Atomic.get
 
@@ -138,8 +135,8 @@ let slot_exn t key_id =
 
 (* Per-domain tweak scratch: the page nonce depends only on the frame
    number, so one reusable 16-byte buffer per domain serves every
-   slot (the per-slot buffer it replaces raced when two domains
-   touched pages under the same KeyID). *)
+   slot. Per domain, not per process, because platforms fanned out
+   over domains share this module. *)
 let tweak_scratch : bytes Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Bytes.make 16 '\000')
 
@@ -417,32 +414,6 @@ let flush_mac_cache t =
           ln.zeroed_v <- -1)
         t.macs)
 
-(* --- Bulk page pipelines. Each page's encrypt/MAC (or MAC-check/
-   decrypt) is independent of every other page's, so with a worker
-   pool installed these fan the per-page work across domains; the
-   bytes written are identical to a sequential loop because nothing
-   in the transform depends on ordering. Without a pool they *are*
-   the sequential loop. --- *)
-
-let run_page_jobs t jobs =
-  match t.pool with
-  | Some pool -> Hypertee_util.Domain_pool.run_all pool jobs
-  | None -> Array.iter (fun job -> job ()) jobs
-
-(* [write_pages t mem ~key_id pages]: encrypt each [(frame, data)]
-   into its frame's DRAM. Frames must be distinct. *)
-let write_pages t mem ~key_id pages =
-  run_page_jobs t
-    (Array.map (fun (frame, data) -> fun () -> write_page t mem ~key_id ~frame data) pages)
-
-(* [read_pages t mem ~key_id frames]: MAC-check and decrypt each
-   frame into a fresh page, in input order. *)
-let read_pages t mem ~key_id frames =
-  let out = Array.make (Array.length frames) Bytes.empty in
-  run_page_jobs t
-    (Array.mapi (fun i frame -> fun () -> out.(i) <- read_page t mem ~key_id ~frame) frames);
-  out
-
 let find_free_slot t =
   Mutex.protect t.lock (fun () ->
       let rec go i =
@@ -462,7 +433,7 @@ let publish_metrics t registry =
   let module M = Hypertee_obs.Metrics in
   let set name help v = M.set_counter (M.counter registry ~help ("mee." ^ name)) v in
   (* Atomic snapshots: no engine lock taken, so a metrics scrape never
-     stalls (or races) the parallel data plane. *)
+     stalls the data plane. *)
   set "stores" "encrypted page stores" (Atomic.get t.stores);
   set "loads" "decrypted (MAC-checked) page loads" (Atomic.get t.loads);
   set "range_loads" "partial-page decrypts" (Atomic.get t.range_loads);

@@ -122,20 +122,6 @@ val update_range :
     programming). *)
 val find_free_slot : t -> int option
 
-(** Install a worker pool: bulk pipelines ([write_pages],
-    [read_pages]) fan their per-page crypto across it. *)
-val set_pool : t -> Hypertee_util.Domain_pool.t -> unit
-
-(** [write_pages t mem ~key_id pages] encrypts each [(frame, data)]
-    pair into its frame's DRAM, in parallel when a pool is installed.
-    Frames must be distinct. Byte-identical to calling [write_page]
-    in a loop. *)
-val write_pages : t -> Phys_mem.t -> key_id:int -> (int * bytes) array -> unit
-
-(** [read_pages t mem ~key_id frames] MAC-checks and decrypts each
-    frame into a fresh page, preserving input order. *)
-val read_pages : t -> Phys_mem.t -> key_id:int -> int array -> bytes array
-
 (** Install a fault injector: [load] then flips one
     deterministic-random ciphertext bit whenever the
     [Memory_bit_flip] site fires, which the MAC check must catch. *)
@@ -161,6 +147,5 @@ val extra_ns : Config.mem_latency -> cs_ghz:float -> float
 (** Snapshot engine counters (stores, loads, range ops, MAC
     failures, cache hits, skipped zero stores, bit flips) into a
     metrics registry under [mee.*]. Counters are atomics, so the
-    snapshot is race-free against concurrent bulk pipelines and
-    takes no engine lock. *)
+    snapshot takes no engine lock. *)
 val publish_metrics : t -> Hypertee_obs.Metrics.t -> unit

@@ -43,9 +43,9 @@ let count_owned t pred = Array.fold_left (fun acc o -> if pred o then acc + 1 el
    [borrow], which hands out a mutable alias — counts as a write;
    the memory-encryption engine's verified-MAC cache keys its entries
    on this counter, so any path that could have changed the DRAM
-   bytes forces the next integrity check to really run. Distinct
-   frames may be bumped from different domains (the bulk pipelines
-   require distinct frames), so a plain int store per frame is safe. *)
+   bytes forces the next integrity check to really run. A platform's
+   memory is touched from the one domain that runs the platform, so
+   a plain int store per frame is enough. *)
 let touch t frame = t.versions.(frame) <- t.versions.(frame) + 1
 
 let version t ~frame =

@@ -63,14 +63,13 @@ type t = {
   recovery_rng : Hypertee_util.Xrng.t;
       (* seeded independently of the master stream so recovery and
          migration leave every pre-existing draw sequence intact *)
-  exec_mode : Hypertee_sim.Exec.mode;
-  pool : Hypertee_util.Domain_pool.t option;  (* Some iff exec_mode is parallel *)
   mutable oracle : Hypertee_check.Oracle.t option;
 }
 
 let create ?(seed = 0x4854454531L (* "HTEE1" *)) ?(config = Config.default) ?faults () =
   let shard_count = config.Config.ems_shards in
   if shard_count < 1 then failwith "Platform.create: ems_shards must be >= 1";
+  if config.Config.domains <> 1 then failwith "Platform.create: domains must be 1";
   let rng = Hypertee_util.Xrng.create seed in
   let frames = config.Config.memory_mb * Hypertee_util.Units.mib / Hypertee_util.Units.page_size in
   let mem = Phys_mem.create ~frames in
@@ -271,28 +270,6 @@ let create ?(seed = 0x4854454531L (* "HTEE1" *)) ?(config = Config.default) ?fau
       ()
   in
   install Emcall.set_fault_injector emcall;
-  (* Execution mode (Exec): [config.domains] — or the HYPERTEE_EXEC
-     override — selects deterministic single-domain execution or a
-     worker pool that fans out the gate's per-shard doorbells and the
-     MEE's bulk page pipelines. Per-shard semantics are identical in
-     both modes; deterministic mode never touches a pool. *)
-  let exec_mode =
-    Hypertee_sim.Exec.resolve
-      ~requested:
-        (if config.Config.domains > 1 then
-           Hypertee_sim.Exec.Parallel { domains = config.Config.domains }
-         else Hypertee_sim.Exec.Deterministic)
-  in
-  let pool =
-    match Hypertee_sim.Exec.domains exec_mode with
-    | n when n > 1 -> Some (Hypertee_util.Domain_pool.shared ~domains:n)
-    | _ -> None
-  in
-  Option.iter
-    (fun p ->
-      Emcall.set_pool emcall p;
-      Mem_encryption.set_pool mee p)
-    pool;
   (* Expose each shard's realized drain order to the gate (and through
      it to the oracle): the closure reads the *current* scheduler, so
      a crash-recovered shard's fresh scheduler is picked up
@@ -333,8 +310,6 @@ let create ?(seed = 0x4854454531L (* "HTEE1" *)) ?(config = Config.default) ?fau
          [create] returns, so recovery/migration must never perturb
          that sequence. *)
       recovery_rng = Hypertee_util.Xrng.create (Int64.add seed 0x7EC0L);
-      exec_mode;
-      pool;
       oracle = None;
     }
   in
@@ -344,9 +319,8 @@ let create ?(seed = 0x4854454531L (* "HTEE1" *)) ?(config = Config.default) ?fau
   t
 
 let config t = t.config
-let exec_mode t = t.exec_mode
-let pool t = t.pool
-let shutdown t = Option.iter Hypertee_util.Domain_pool.shutdown t.pool
+let exec_mode (_ : t) = Hypertee_sim.Exec.Deterministic
+let shutdown (_ : t) = ()
 let os t = t.os
 let mem t = t.mem
 let rng t = t.rng

@@ -17,7 +17,7 @@ type t
 (** [create ?seed ?config ?faults ()] — [faults] is a deterministic
     fault plan (see {!Hypertee_faults.Fault}); when omitted every
     fault hook is a no-op and the platform behaves byte-identically
-    to a fault-free build. *)
+    to a fault-free build. Fails unless [config.domains] is 1. *)
 val create :
   ?seed:int64 ->
   ?config:Hypertee_arch.Config.t ->
@@ -27,23 +27,14 @@ val create :
 
 val config : t -> Hypertee_arch.Config.t
 
-(** Resolved execution mode: [Config.domains] (or the HYPERTEE_EXEC
-    environment override, which wins) selects deterministic
-    single-domain execution or a worker-domain pool that fans out
-    {!invoke_batch}'s per-shard doorbells and the MEE's bulk page
-    pipelines. Per-shard semantics are identical in both modes. *)
+(** Always [Deterministic]: a platform runs on the domain that
+    created it. Parallelism lives one level up, where
+    {!Hypertee_sim.Exec.map} fans a sweep's independent platforms over
+    domains. Kept so callers can assert the mode they measure. *)
 val exec_mode : t -> Hypertee_sim.Exec.mode
 
-(** The worker pool, present iff {!exec_mode} is parallel — callers
-    (CVM snapshots, benchmarks) may fan their own page work over it. *)
-val pool : t -> Hypertee_util.Domain_pool.t option
-
-(** Release the platform's hold on its worker pool. The pool comes
-    from {!Hypertee_util.Domain_pool.shared} (live domains are a
-    hard-capped resource, and scenario code creates platforms by the
-    hundred), so this is currently a no-op on the shared workers —
-    but scenario code should still call it at the end of a parallel
-    run so platform teardown has one place to grow. *)
+(** A no-op: a platform holds no domain or pool to release. Kept
+    because perfbench/ calls it. *)
 val shutdown : t -> unit
 
 val os : t -> Hypertee_cs.Os.t

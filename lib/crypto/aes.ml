@@ -15,7 +15,8 @@
 
    The reused scratch buffers follow the same convention as [Keccak]:
    one private set per domain in domain-local storage, so hot paths
-   stay allocation-free and parallel MEE workers never share them. *)
+   stay allocation-free and platforms fanned out over domains never
+   share them. *)
 
 let block_size = 16
 
@@ -287,8 +288,8 @@ let[@inline] encrypt4 rk w0 w1 w2 w3 out =
 let get_word b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
 
 (* Reused scratch for the block/CTR/CBC paths, one set per domain:
-   keeps these paths allocation-free while letting the parallel MEE
-   pipeline encrypt pages on every worker domain at once. *)
+   keeps these paths allocation-free while platforms on different
+   domains encrypt pages at once. *)
 type scratch = {
   block_words : int array;
   ctr_words : int array;

@@ -4,7 +4,7 @@ let block = 64 (* SHA-256 block size *)
    is XORed to the ipad in place, then flipped to the opad by XORing
    with 0x36 lxor 0x5c. Only the inner digest and the result
    allocate. Domain-local storage keeps the reuse while letting
-   parallel shard drains derive keys concurrently. *)
+   platforms on different domains derive keys concurrently. *)
 type scratch = { pad : bytes; inner : Sha256.ctx; outer : Sha256.ctx; inner_digest : bytes }
 
 let scratch : scratch Domain.DLS.key =

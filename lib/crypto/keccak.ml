@@ -18,8 +18,8 @@
      (the analogue of [Aes.ctr_reference]).
 
    Sponge scratch lives in domain-local storage, one private set per
-   domain, so parallel MEE workers MAC pages concurrently without
-   sharing state. *)
+   domain, so platforms on different domains MAC pages concurrently
+   without sharing state. *)
 
 let rate_bytes = 136 (* 1088 bits *)
 

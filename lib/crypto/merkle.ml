@@ -7,8 +7,8 @@ type t = { levels : bytes array array }
 (* Domain tags and a reused per-domain context: feeding tag and
    operands through one streaming context hashes the same byte
    sequence as the old concat-then-digest, without building the
-   concatenation. Domain-local so parallel leaf hashing gets a
-   private context per worker. *)
+   concatenation. Domain-local so trees built on different domains
+   never share a context. *)
 let leaf_tag = Bytes.of_string "\x00leaf"
 let node_tag = Bytes.of_string "\x01node"
 let hctx : Sha256.ctx Domain.DLS.key = Domain.DLS.new_key (fun () -> Sha256.init ())
@@ -36,18 +36,9 @@ let parent_level level =
       if (2 * i) + 1 < n then node_hash left level.((2 * i) + 1)
       else node_hash left left (* odd promotion: duplicate *))
 
-let build ?pool blocks =
+let build blocks =
   if blocks = [] then invalid_arg "Merkle.build: no blocks";
-  (* Leaf hashing dominates build cost (every data byte flows through
-     it; interior levels only hash 64-byte digests), and each leaf is
-     independent — exactly the shape the worker pool parallelizes.
-     Inline when no pool is given, so output bytes are identical
-     either way. *)
-  let leaves =
-    match pool with
-    | None -> Array.of_list (List.map leaf_hash blocks)
-    | Some pool -> Hypertee_util.Domain_pool.map pool leaf_hash (Array.of_list blocks)
-  in
+  let leaves = Array.of_list (List.map leaf_hash blocks) in
   let rec grow acc level =
     if Array.length level = 1 then List.rev (level :: acc)
     else grow (level :: acc) (parent_level level)

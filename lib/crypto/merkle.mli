@@ -10,10 +10,8 @@
 type t
 
 (** [build blocks] hashes each block as a leaf and folds the tree.
-    With [?pool], leaf hashing (the data-proportional part) fans out
-    over the worker domains; the resulting tree is byte-identical
-    either way. Raises [Invalid_argument] on an empty list. *)
-val build : ?pool:Hypertee_util.Domain_pool.t -> bytes list -> t
+    Raises [Invalid_argument] on an empty list. *)
+val build : bytes list -> t
 
 val root : t -> bytes
 val leaf_count : t -> int

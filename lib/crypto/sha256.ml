@@ -119,8 +119,8 @@ let update ctx b = update_sub ctx b ~off:0 ~len:(Bytes.length b)
 let feed_sub = update_sub
 
 (* Padding scratch: at most 64 pad bytes plus the 8-byte length.
-   Domain-local so concurrent finalizes (parallel Merkle leaves, MEE
-   workers) each pad in their own buffer. *)
+   Domain-local so concurrent finalizes (platforms on different
+   domains) each pad in their own buffer. *)
 let pad_scratch : bytes Domain.DLS.key = Domain.DLS.new_key (fun () -> Bytes.create 72)
 
 let finalize_into ctx dst ~off =

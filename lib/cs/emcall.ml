@@ -56,7 +56,6 @@ type t = {
   abandoned : (int, unit) Hashtbl.t array; (* per shard: timed-out ids *)
   abandoned_order : int Queue.t array;
   mutable faults : Fault.t option;
-  mutable pool : Hypertee_util.Domain_pool.t option;
   mutable tap : tap option;
   mutable drain_order_probe : (int -> int list) option;
       (* shard index -> request ids in execution order (full log);
@@ -87,7 +86,6 @@ let create_sharded ?(retry = default_retry_policy) ~rng ~transport ~shards ~rout
     abandoned = Array.init n (fun _ -> Hashtbl.create 16);
     abandoned_order = Array.init n (fun _ -> Queue.create ());
     faults = None;
-    pool = None;
     tap = None;
     drain_order_probe = None;
     rejected = 0;
@@ -149,7 +147,6 @@ let admit t =
     end
 
 let set_fault_injector t inj = t.faults <- Some inj
-let set_pool t pool = t.pool <- Some pool
 let set_drain_order_probe t probe = t.drain_order_probe <- Some probe
 let set_tap t tap = t.tap <- Some tap
 let clear_tap t = t.tap <- None
@@ -458,25 +455,9 @@ let invoke_batch t requests =
     | None -> [||]
     | Some probe -> Array.init (Array.length t.shards) (fun i -> List.length (probe i))
   in
-  (* One doorbell per shard with pending work: the drain serves the
-     whole batch before any caller starts polling. Distinct shards'
-     drains are independent — each touches only its own shard state
-     plus the mutex-guarded shared fabric (mailboxes, frame pool,
-     MEE key table) — so with a worker pool installed they ring
-     concurrently, one domain per shard. [run_all]'s barrier is the
-     batch's synchronization point: no caller polls until every
-     drain has posted its responses. *)
-  let ringing =
-    Array.of_seq
-      (Seq.filter_map
-         (fun idx -> if per_shard.(idx) > 0 then Some idx else None)
-         (Seq.init (Array.length per_shard) Fun.id))
-  in
-  (match t.pool with
-  | Some pool when Hypertee_util.Domain_pool.size pool > 1 && Array.length ringing > 1 ->
-    Hypertee_util.Domain_pool.run_all pool
-      (Array.map (fun idx () -> t.shards.(idx).ems_service ()) ringing)
-  | _ -> Array.iter (fun idx -> t.shards.(idx).ems_service ()) ringing);
+  (* One doorbell per shard with pending work, in shard order: the
+     drain serves the whole batch before any caller starts polling. *)
+  Array.iteri (fun idx n -> if n > 0 then t.shards.(idx).ems_service ()) per_shard;
   let outcomes =
     List.map2
       (fun (caller, request) outcome ->

@@ -126,14 +126,6 @@ val admission_tokens : t -> float option
 (** Requests shed with {!Busy} since creation. *)
 val shed : t -> int
 
-(** Install a worker pool: {!invoke_batch} rings the doorbells of
-    distinct shards concurrently (one domain per shard with pending
-    work) instead of sequentially, joining before any caller polls.
-    Per-shard semantics and the timing model are unchanged; without
-    a pool — or with a single-domain pool — the fan-out is the
-    sequential loop it always was. *)
-val set_pool : t -> Hypertee_util.Domain_pool.t -> unit
-
 (** [set_drain_order_probe t probe] — [probe i] must return shard
     [i]'s request ids in execution order (the scheduler's full log).
     [invoke_batch] snapshots each shard's log length before ringing

@@ -16,8 +16,9 @@ type t = {
   mutable ems_refills : int;
   lock : Mutex.t;
       (* The CS OS free list is the one allocator every shard's pool
-         refills from: find_free + set_owner must be atomic or two
-         shards draining in parallel can be handed the same frame. *)
+         refills from: find_free + set_owner must be atomic. A
+         platform's shards drain on one domain, so the lock is safety
+         code against ever handing two callers the same frame. *)
 }
 
 let create mem = { mem; next_pid = 1; procs = []; ems_refills = 0; lock = Mutex.create () }

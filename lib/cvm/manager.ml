@@ -204,16 +204,9 @@ let snapshot t id =
       ~dst:ct ~dst_off:0 page_size;
     ct
   in
-  (* Pages are independent (per-domain scratch, distinct frames):
-     fan out over the platform's worker pool when one is installed. *)
-  let dpool = Hypertee.Platform.pool t.platform in
-  let encrypted_pages =
-    match dpool with
-    | Some dp -> Hypertee_util.Domain_pool.map dp encrypt_page (Array.init n Fun.id)
-    | None -> Array.init n encrypt_page
-  in
+  let encrypted_pages = Array.init n encrypt_page in
   (* Integrity root over the *ciphertext* (encrypt-then-MAC shape). *)
-  let tree = Hypertee_crypto.Merkle.build ?pool:dpool (Array.to_list encrypted_pages) in
+  let tree = Hypertee_crypto.Merkle.build (Array.to_list encrypted_pages) in
   cvm.snapshot_key <- Some key_bytes;
   cvm.snapshot_root <- Some (Hypertee_crypto.Merkle.root tree);
   Ok { cvm = id; encrypted_pages; vcpus = cvm.vcpus }
@@ -225,10 +218,7 @@ let restore_with t snap ~key_bytes ~root ~measurement =
   if n = 0 then Error "empty snapshot"
   else begin
     (* Verify every page against the root before touching any state. *)
-    let dpool = Hypertee.Platform.pool t.platform in
-    let tree =
-      Hypertee_crypto.Merkle.build ?pool:dpool (Array.to_list snap.encrypted_pages)
-    in
+    let tree = Hypertee_crypto.Merkle.build (Array.to_list snap.encrypted_pages) in
     if not (Hypertee_util.Bytes_ext.equal_ct (Hypertee_crypto.Merkle.root tree) root) then begin
       t.tamper_detections <- t.tamper_detections + 1;
       Error "snapshot integrity verification failed"
@@ -264,20 +254,13 @@ let restore_with t snap ~key_bytes ~root ~measurement =
               snapshot_root = Some root;
             }
           in
-          let fill_page p =
-            let page_scratch = Domain.DLS.get page_scratch_key in
+          let page_scratch = Domain.DLS.get page_scratch_key in
+          for p = 0 to n - 1 do
             Hypertee_crypto.Aes.decrypt_page_into key ~page_number:p
               ~src:snap.encrypted_pages.(p) ~src_off:0 ~dst:page_scratch ~dst_off:0
               page_size;
             store_page t cvm ~page:p page_scratch
-          in
-          (match dpool with
-          | Some dp ->
-            Hypertee_util.Domain_pool.run_all dp (Array.init n (fun p () -> fill_page p))
-          | None ->
-            for p = 0 to n - 1 do
-              fill_page p
-            done);
+          done;
           t.next_id <- id + 1;
           Hashtbl.replace t.cvms id cvm;
           Ok id)

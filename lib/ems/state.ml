@@ -222,7 +222,8 @@ let revive_key t (e : Enclave.t) =
     Ok ()
 
 (* Reused 8-byte header scratch for the measurement stream, one per
-   domain so shards measuring in parallel never share it. *)
+   domain so platforms measuring on different domains never share
+   it. *)
 let meas_header : bytes Domain.DLS.key = Domain.DLS.new_key (fun () -> Bytes.create 8)
 
 let measurement_update (e : Enclave.t) ~vpn data =

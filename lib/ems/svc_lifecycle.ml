@@ -119,8 +119,12 @@ let handle_create t (config : Types.enclave_config) =
         with Failure _ -> teardown Types.Out_of_memory))
   end
 
-(* Reused EADD staging page, zero-padded per call (single-threaded). *)
-let add_page = Bytes.make Hypertee_util.Units.page_size '\000'
+(* Reused EADD staging page, zero-padded per call. One per domain,
+   like [State.meas_header]: platforms fanned out over domains share
+   this module, and with one page per process one platform's EADD
+   would measure and encrypt another platform's bytes. *)
+let add_page_key : bytes Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Bytes.make Hypertee_util.Units.page_size '\000')
 
 let handle_add t ~sender ~enclave ~vpn ~data ~executable =
   ignore sender;
@@ -132,6 +136,7 @@ let handle_add t ~sender ~enclave ~vpn ~data ~executable =
     match Page_table.lookup e.Enclave.page_table ~vpn with
     | None -> Types.Err (Types.Invalid_argument_ "EADD target page not mapped")
     | Some pte ->
+      let add_page = Domain.DLS.get add_page_key in
       Bytes.fill add_page 0 Hypertee_util.Units.page_size '\000';
       Bytes.blit data 0 add_page 0 (Bytes.length data);
       (* Store through the memory-encryption engine: DRAM holds

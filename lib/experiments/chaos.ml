@@ -156,7 +156,8 @@ let run_point ~seed ~fault_rate ~ops =
       List.length (Platform.check platform).Hypertee_check.Invariant.violations;
   }
 
-let run ~seed ~ops = List.map (fun fault_rate -> run_point ~seed ~fault_rate ~ops) default_rates
+let run ~seed ~ops =
+  Hypertee_sim.Exec.map (fun fault_rate -> run_point ~seed ~fault_rate ~ops) default_rates
 
 (* --- Rolling restart: kill and recover every EMS shard ------------- *)
 
@@ -194,12 +195,9 @@ let live_ids platform =
     (Platform.Internals.runtimes platform)
   |> List.sort_uniq compare
 
-let rolling_restart ?(seed = 0xC4A05CADEL) ?(ops = restart_default_ops) ?(shards = 3)
-    ?(domains = 1) () =
+let rolling_restart ?(seed = 0xC4A05CADEL) ?(ops = restart_default_ops) ?(shards = 3) () =
   if shards < 2 then invalid_arg "Chaos.rolling_restart: need at least 2 shards";
-  let config =
-    { Hypertee_arch.Config.default with Hypertee_arch.Config.ems_shards = shards; domains }
-  in
+  let config = { Hypertee_arch.Config.default with Hypertee_arch.Config.ems_shards = shards } in
   (* No fault plan: the only "fault" is the shard crash itself, so
      every timeout and recovery event in the report is attributable
      to the restart. *)
@@ -344,7 +342,6 @@ let rolling_restart ?(seed = 0xC4A05CADEL) ?(ops = restart_default_ops) ?(shards
     |> List.map (fun site ->
            (site, List.length (List.filter (fun ev -> ev.Hypertee_ems.Audit.site = site) events)))
   in
-  Platform.shutdown platform;
   {
     shards;
     total_ops = !issued;

@@ -37,7 +37,8 @@ val default_rates : float list
     platform. Never raises: every fault outcome is a counted bucket. *)
 val run_point : seed:int64 -> fault_rate:float -> ops:int -> point
 
-(** [run ~seed ~ops] — the full sweep over [default_rates]. *)
+(** [run ~seed ~ops] — the full sweep over [default_rates], one
+    platform per rate, through {!Hypertee_sim.Exec.map}. *)
 val run : seed:int64 -> ops:int -> point list
 
 (** [print ?out points] renders the sweep as the standard ASCII
@@ -87,8 +88,7 @@ val restart_default_ops : int
 (** [rolling_restart ()] runs the scenario: [shards] rounds (default
     3, each shard killed exactly once) over roughly [ops] total
     requests. Deterministic given [seed]. *)
-val rolling_restart :
-  ?seed:int64 -> ?ops:int -> ?shards:int -> ?domains:int -> unit -> restart_report
+val rolling_restart : ?seed:int64 -> ?ops:int -> ?shards:int -> unit -> restart_report
 
 (** Zero lost enclaves, zero oracle divergences, zero invariant
     violations (per round and final), zero replay mismatches — the

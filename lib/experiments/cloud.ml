@@ -70,8 +70,8 @@ type sim = {
   mutable cold_launches : int;
 }
 
-let make_sim ~seed ~shards ~domains ~admission ~spec () =
-  let config = { Config.default with Config.ems_shards = shards; domains } in
+let make_sim ~seed ~shards ~admission ~spec () =
+  let config = { Config.default with Config.ems_shards = shards } in
   let platform = Platform.create ~seed ~config () in
   let oracle = Platform.attach_oracle platform in
   Option.iter
@@ -287,7 +287,6 @@ let finish_sim sim oracle =
     }
   in
   Platform.detach_oracle sim.platform;
-  Platform.shutdown sim.platform;
   verdict
 
 (* --- open-loop sweep ----------------------------------------------- *)
@@ -315,8 +314,8 @@ type point = {
 let pct stats p = if Stats.count stats = 0 then 0.0 else Stats.percentile stats p
 let ms ns = ns /. 1e6
 
-let run_open ~seed ~spec ~shards ~domains ~rate_per_s ~sessions ~admission () =
-  let sim, oracle = make_sim ~seed ~shards ~domains ~admission ~spec () in
+let run_open ~seed ~spec ~shards ~rate_per_s ~sessions ~admission () =
+  let sim, oracle = make_sim ~seed ~shards ~admission ~spec () in
   let arrivals =
     Tenants.open_arrivals ~seed:(Int64.add seed 0x7EAL) ~spec ~rate_per_s ~sessions
   in
@@ -361,8 +360,8 @@ type calibration = {
   ops_per_session : float;
 }
 
-let calibrate ~seed ~spec ~domains () =
-  let sim, oracle = make_sim ~seed ~shards:1 ~domains ~admission:None ~spec () in
+let calibrate ~seed ~spec () =
+  let sim, oracle = make_sim ~seed ~shards:1 ~admission:None ~spec () in
   let arrivals =
     Tenants.open_arrivals ~seed:(Int64.add seed 0xCA1L) ~spec ~rate_per_s:2.0 ~sessions:8
   in
@@ -414,8 +413,8 @@ type closed_point = {
   cl_divergences : int;
 }
 
-let run_closed ~seed ~spec ?(domains = 1) ~shards ~tenants ~sessions_per_tenant () =
-  let sim, oracle = make_sim ~seed ~shards ~domains ~admission:None ~spec () in
+let run_closed ~seed ~spec ~shards ~tenants ~sessions_per_tenant () =
+  let sim, oracle = make_sim ~seed ~shards ~admission:None ~spec () in
   let rng = Xrng.create (Int64.add seed 0xC10L) in
   let cdf = Tenants.popularity_cdf spec in
   let rec tenant_loop remaining () =
@@ -460,34 +459,42 @@ let default_shard_counts = [ 1; 2; 4 ]
 let default_mults = [ 0.2; 0.5; 0.8; 1.0; 1.3; 1.6 ]
 let quick_mults = [ 0.3; 0.8; 1.5 ]
 
-let run ~seed ?(quick = false) ?(domains = 1) ?(shard_counts = default_shard_counts) () =
+let run ~seed ?(quick = false) ?(shard_counts = default_shard_counts) () =
   let spec = Tenants.default_spec in
   let sessions = if quick then 48 else 160 in
   let mults = if quick then quick_mults else default_mults in
-  let cal = calibrate ~seed ~spec ~domains () in
+  let cal = calibrate ~seed ~spec () in
   let capacity shards = float_of_int shards *. (1e9 /. cal.base_cold_ns) in
-  let curves =
-    List.map
-      (fun shards ->
+  (* Every grid point, open or closed loop, is its own platform, so
+     [Exec.map] may fan them over domains once calibration has fixed
+     the load axis. *)
+  let grid =
+    List.concat_map (fun shards -> List.map (fun mult -> (shards, mult)) mults) shard_counts
+  in
+  let open_points =
+    Hypertee_sim.Exec.map
+      (fun (shards, mult) ->
         let cap = capacity shards in
+        let rate = mult *. cap in
         (* Admission sized to roughly what the platform can serve:
            overload beyond it sheds as Busy instead of queueing. *)
         let admission = Some (1.3 *. cap *. cal.ops_per_session) in
-        let points =
-          List.map
-            (fun mult ->
-              let rate = mult *. cap in
-              point_of_run ~offered_mult:mult ~rate_per_s:rate ~sessions
-                (run_open ~seed ~spec ~shards ~domains ~rate_per_s:rate ~sessions ~admission ()))
-            mults
-        in
+        point_of_run ~offered_mult:mult ~rate_per_s:rate ~sessions
+          (run_open ~seed ~spec ~shards ~rate_per_s:rate ~sessions ~admission ()))
+      grid
+  in
+  let per_curve = List.length mults in
+  let curves =
+    List.mapi
+      (fun i shards ->
+        let points = List.filteri (fun j _ -> j / per_curve = i) open_points in
         { curve_shards = shards; points; knee_mult = knee_of points })
       shard_counts
   in
   let closed =
-    List.map
+    Hypertee_sim.Exec.map
       (fun shards ->
-        run_closed ~seed ~spec ~domains ~shards ~tenants:(4 * shards)
+        run_closed ~seed ~spec ~shards ~tenants:(4 * shards)
           ~sessions_per_tenant:(if quick then 4 else 10) ())
       shard_counts
   in

@@ -75,14 +75,12 @@ val default_shard_counts : int list
 (** [run ~seed ()] — the full sweep: calibrate, then for each shard
     count drive the open-loop offered-load ladder and one closed-loop
     run. [quick] shrinks sessions and ladder for CI. *)
-val run :
-  seed:int64 -> ?quick:bool -> ?domains:int -> ?shard_counts:int list -> unit -> outcome
+val run : seed:int64 -> ?quick:bool -> ?shard_counts:int list -> unit -> outcome
 
 (** One closed-loop run, exposed for tests. *)
 val run_closed :
   seed:int64 ->
   spec:Hypertee_workloads.Tenants.spec ->
-  ?domains:int ->
   shards:int ->
   tenants:int ->
   sessions_per_tenant:int ->

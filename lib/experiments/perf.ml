@@ -42,7 +42,7 @@ type host = {
 let host_info () =
   {
     hardware_threads = Domain.recommended_domain_count ();
-    recommended_domains = Hypertee_util.Domain_pool.recommended_domains ();
+    recommended_domains = Domain.recommended_domain_count ();
     ocaml_version = Sys.ocaml_version;
     word_size = Sys.word_size;
     os_type = Sys.os_type;

@@ -19,7 +19,7 @@ type sample = {
     JSON so raw MB/s numbers carry their provenance. *)
 type host = {
   hardware_threads : int;  (** [Domain.recommended_domain_count] *)
-  recommended_domains : int;  (** what the worker pool would size to *)
+  recommended_domains : int;  (** what a bare HYPERTEE_EXEC=parallel fans sweeps over *)
   ocaml_version : string;
   word_size : int;
   os_type : string;

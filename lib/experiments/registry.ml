@@ -496,7 +496,7 @@ let metrics (p : params) oc = Tracing.metrics ~out:oc ~seed:p.seed ~ops:p.size (
    before the guard fails, absorbing benchmark noise. *)
 let tolerance_pct = 30.0
 
-let perf ~parallel (p : params) oc =
+let perf (p : params) oc =
   section oc "Perf: wall-clock data plane (real elapsed time, not the timing models)";
   note oc "the speedup-vs-reference rows are the portable signal";
   (* Read the baseline before anything is written: the artifact and
@@ -510,18 +510,6 @@ let perf ~parallel (p : params) oc =
     | None -> None
   in
   let samples = Perf.run ~quick:p.quick () in
-  let samples =
-    if not parallel then samples
-    else begin
-      (* Four worker domains unless HYPERTEE_EXEC says otherwise. *)
-      let domains =
-        Hypertee_sim.Exec.(domains (resolve ~requested:(Parallel { domains = 4 })))
-      in
-      note oc "parallel execution over %d domain(s); %d recommended on this host" domains
-        (Hypertee_util.Domain_pool.recommended_domains ());
-      samples @ Parallel_bench.run ~quick:p.quick ~domains ()
-    end
-  in
   Perf.print ~out:oc samples;
   let regressions =
     match baseline with
@@ -555,10 +543,6 @@ let printer ?seed ?sizes name doc run = entry ?seed ?sizes ~clean:always_clean n
 (* An artifact written as the text [render] returns. *)
 let text what render = (what, fun path x -> with_file path (fun ch -> output_string ch (render x)))
 
-let perf_entry ~parallel name doc =
-  entry name ~clock:Host ~extras:[ Baseline ] ~clean:(fun (_, regressions) -> regressions = [])
-    ~write:("the samples as JSON", fun path (samples, _) -> Perf.write_json ~path samples)
-    doc (perf ~parallel)
 
 let paper =
   [
@@ -622,9 +606,10 @@ let entries =
       entry "metrics" ~seed:0x5EEDL ~sizes:(400, 400) ~clean:(fun _ -> true)
         ~write:(text "the registry as JSON" Hypertee_obs.Metrics.to_json)
         "Platform metrics registry after a mixed workload" metrics;
-      perf_entry ~parallel:false "perf" "Wall-clock microbenchmarks of the crypto data plane";
-      perf_entry ~parallel:true "perf-parallel"
-        "perf plus domain-parallel vs sequential wall clock";
+      entry "perf" ~clock:Host ~extras:[ Baseline ]
+        ~clean:(fun (_, regressions) -> regressions = [])
+        ~write:("the samples as JSON", fun path (samples, _) -> Perf.write_json ~path samples)
+        "Wall-clock microbenchmarks of the crypto data plane" perf;
     ]
 
 let params (Entry e) ?seed ?(deep = false) ?baseline ~quick () =

@@ -26,10 +26,10 @@ let default_ops = 256
    of [batch], spread round-robin over the enclaves (i.e. over the
    CS cores), each group delivered through one [Platform.invoke_batch]
    doorbell round. *)
-let run_point ~seed ?(domains = 1) ~cs_cores ~shards ~batch ~ops () =
+let run_point ~seed ~cs_cores ~shards ~batch ~ops () =
   if cs_cores < 1 || shards < 1 || batch < 1 || ops < 1 then
     invalid_arg "Scale.run_point: all parameters must be >= 1";
-  let config = { Config.default with Config.cs_cores; ems_shards = shards; domains } in
+  let config = { Config.default with Config.cs_cores; ems_shards = shards } in
   let platform = Platform.create ~seed ~config () in
   (* Fleet setup: ECREATE round-robins across shards inside the gate,
      and each shard assigns ids from its own residue class, so the
@@ -94,7 +94,6 @@ let run_point ~seed ?(domains = 1) ~cs_cores ~shards ~batch ~ops () =
     List.length (Platform.check platform).Hypertee_check.Invariant.violations
   in
   let overhead_ns = Platform.batch_overhead_ns platform ~batch in
-  Platform.shutdown platform;
   {
     cs_cores;
     shards;
@@ -110,19 +109,19 @@ let run_point ~seed ?(domains = 1) ~cs_cores ~shards ~batch ~ops () =
   }
 
 (* The two published sweeps: batching amortization at one shard, and
-   shard scaling at a fixed batch size. *)
-let batch_sweep ~seed ?(domains = 1) ?(cs_cores = 8) ?(ops = default_ops) () =
-  List.map
-    (fun batch -> run_point ~seed ~domains ~cs_cores ~shards:1 ~batch ~ops ())
+   shard scaling at a fixed batch size. Each point is its own
+   platform, so [Exec.map] may fan the points over domains. *)
+let batch_sweep ~seed ?(cs_cores = 8) ?(ops = default_ops) () =
+  Hypertee_sim.Exec.map
+    (fun batch -> run_point ~seed ~cs_cores ~shards:1 ~batch ~ops ())
     default_batches
 
-let shard_sweep ~seed ?(domains = 1) ?(cs_cores = 8) ?(batch = 8) ?(ops = default_ops) () =
-  List.map
-    (fun shards -> run_point ~seed ~domains ~cs_cores ~shards ~batch ~ops ())
+let shard_sweep ~seed ?(cs_cores = 8) ?(batch = 8) ?(ops = default_ops) () =
+  Hypertee_sim.Exec.map
+    (fun shards -> run_point ~seed ~cs_cores ~shards ~batch ~ops ())
     default_shards
 
-let run ~seed ?(domains = 1) ?(ops = default_ops) () =
-  (batch_sweep ~seed ~domains ~ops (), shard_sweep ~seed ~domains ~ops ())
+let run ~seed ?(ops = default_ops) () = (batch_sweep ~seed ~ops (), shard_sweep ~seed ~ops ())
 
 let point_row p =
   [

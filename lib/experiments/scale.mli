@@ -37,25 +37,20 @@ val default_batches : int list
 val default_shards : int list
 val default_ops : int
 
-(** One grid point on a fresh platform. [domains] (default 1) sets
-    [Config.domains]: with more than one, the platform fans each
-    doorbell round's per-shard drains over worker domains (modelled
-    time is identical; only wall-clock changes). The platform —
-    including any worker pool — is torn down before returning. *)
+(** One grid point on a fresh platform, torn down before returning. *)
 val run_point :
-  seed:int64 -> ?domains:int -> cs_cores:int -> shards:int -> batch:int -> ops:int ->
-  unit -> point
+  seed:int64 -> cs_cores:int -> shards:int -> batch:int -> ops:int -> unit -> point
 
-(** Batching amortization at one shard (over [default_batches]). *)
-val batch_sweep :
-  seed:int64 -> ?domains:int -> ?cs_cores:int -> ?ops:int -> unit -> point list
+(** Batching amortization at one shard (over [default_batches]). The
+    points run through {!Hypertee_sim.Exec.map}, one platform each. *)
+val batch_sweep : seed:int64 -> ?cs_cores:int -> ?ops:int -> unit -> point list
 
-(** Shard scaling at a fixed batch (over [default_shards]). *)
-val shard_sweep :
-  seed:int64 -> ?domains:int -> ?cs_cores:int -> ?batch:int -> ?ops:int -> unit -> point list
+(** Shard scaling at a fixed batch (over [default_shards]), through
+    {!Hypertee_sim.Exec.map} like {!batch_sweep}. *)
+val shard_sweep : seed:int64 -> ?cs_cores:int -> ?batch:int -> ?ops:int -> unit -> point list
 
 (** Both sweeps: [(batch_points, shard_points)]. *)
-val run : seed:int64 -> ?domains:int -> ?ops:int -> unit -> point list * point list
+val run : seed:int64 -> ?ops:int -> unit -> point list * point list
 
 (** Render both sweeps of {!run} as tables to [out] (default stdout). *)
 val print : ?out:out_channel -> point list * point list -> unit

@@ -97,11 +97,10 @@ type t = {
   slots : slot array;
   flips : (int, int) Hashtbl.t;
   lock : Mutex.t;
-      (* Sites are consulted from whichever domain hits them (mailbox
-         ops under the gate, bit flips inside parallel MEE loads):
-         each draw advances a per-site RNG stream and counters, so
-         the whole consult is one critical section. Single-domain
-         replays never contend, keeping fault traces reproducible. *)
+      (* Each draw advances a per-site RNG stream and counters, so
+         the whole consult is one critical section. A platform and its
+         injector run on one domain, so the lock never contends and
+         fault traces stay reproducible; it is kept as safety code. *)
 }
 
 let create p =

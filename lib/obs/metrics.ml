@@ -1,7 +1,7 @@
 module Stats = Hypertee_util.Stats
 
 (* Instruments are domain-safe: counters and gauges live on [Atomic]
-   cells (lock-free, safe to bump from MEE worker domains), while
+   cells (lock-free, safe to bump from any domain), while
    histograms — whose [Stats] reservoir is a compound structure —
    take a per-histogram mutex on [observe]. The registry table itself
    is mutex-guarded so concurrent get-or-create cannot register two

@@ -1,24 +1,21 @@
-(* Execution-mode switch for the whole platform.
+(* Execution-mode switch for sweeps of independent platforms.
 
-   [Deterministic] is the default and the reference semantics: one
-   domain, every shard drained in gate order, bit-identical traces,
-   reproducible fault replays, a happy differential oracle.
-   [Parallel] runs distinct-shard work concurrently on OCaml 5
-   domains; results are equivalent per call and the final platform
-   state is [Platform.check]-clean, but interleaving-sensitive
-   observables (trace span order, frame allocation order) may differ.
+   A platform always runs on the domain that created it, one shard
+   drained after another in gate order: bit-identical traces,
+   reproducible fault replays, a happy differential oracle. What can
+   run in parallel is a sweep: cloud's load points, chaos's fault
+   rates and the scale grid each build one fresh platform per point,
+   and [map] fans those points over worker domains, one platform per
+   domain, with results in input order so the output is byte-identical.
 
-   The mode can be forced process-wide through the HYPERTEE_EXEC
-   environment variable so the test suite runs the same binaries in
-   both modes without recompiling:
+   The mode is set process-wide through the HYPERTEE_EXEC environment
+   variable:
 
-     HYPERTEE_EXEC=deterministic   (the default)
+     HYPERTEE_EXEC=deterministic   (the default: [map] is List.map)
      HYPERTEE_EXEC=parallel        (recommended_domain_count domains)
      HYPERTEE_EXEC=parallel:4      (exactly 4 domains) *)
 
 type mode = Deterministic | Parallel of { domains : int }
-
-let domains = function Deterministic -> 1 | Parallel { domains } -> domains
 
 let to_string = function
   | Deterministic -> "deterministic"
@@ -44,8 +41,8 @@ let of_string s =
 
 let env_var = "HYPERTEE_EXEC"
 
-(* Resolved once: tests construct many platforms and the mode must
-   not flip between them mid-process. *)
+(* Resolved once: the mode must not flip between the sweeps of one
+   process. *)
 let forced =
   lazy
     (match Sys.getenv_opt env_var with
@@ -59,8 +56,10 @@ let forced =
 
 let default_mode () = match Lazy.force forced with Some m -> m | None -> Deterministic
 
-(* [resolve ~requested] is the single decision point platforms use:
-   an explicit request (CLI flag, Config.domains) wins unless the
-   environment forces a mode for the whole process. *)
-let resolve ~requested =
-  match Lazy.force forced with Some m -> m | None -> requested
+let map f xs =
+  match default_mode () with
+  | Deterministic -> List.map f xs
+  | Parallel { domains } ->
+    Array.to_list
+      (Hypertee_util.Domain_pool.map (Hypertee_util.Domain_pool.shared ~domains) f
+         (Array.of_list xs))

@@ -1,14 +1,14 @@
-(** Process-wide execution mode: deterministic single-domain (the
-    reference semantics) or parallel over OCaml 5 domains.
+(** Process-wide execution mode for sweeps: deterministic (every
+    point on the calling domain, the reference) or parallel, where
+    {!map} fans a sweep's independent platforms over OCaml 5 domains,
+    one platform per domain. A platform itself always runs on the
+    domain that created it.
 
     The HYPERTEE_EXEC environment variable ([deterministic],
-    [parallel], [parallel:<n>]) forces a mode for the whole process,
-    letting the test matrix run both modes without recompiling. *)
+    [parallel], [parallel:<n>]) selects the mode without
+    recompiling. *)
 
 type mode = Deterministic | Parallel of { domains : int }
-
-val domains : mode -> int
-(** Parallelism implied by the mode: 1 for [Deterministic]. *)
 
 val to_string : mode -> string
 val of_string : string -> mode option
@@ -20,6 +20,10 @@ val default_mode : unit -> mode
 (** The environment override, or [Deterministic]. Resolved once per
     process. *)
 
-val resolve : requested:mode -> mode
-(** The mode a platform should actually use: the environment override
-    when set, otherwise [requested]. *)
+val map : ('a -> 'b) -> 'a list -> 'b list
+(** [map f xs] is [List.map f xs] in [Deterministic] mode. Under
+    [Parallel { domains = n }] the applications run on
+    {!Hypertee_util.Domain_pool.shared}[ ~domains:n]; results keep
+    input order. Each [f x] must own everything it mutates (a sweep
+    point builds its own platform), so both modes return the same
+    values. *)

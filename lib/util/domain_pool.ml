@@ -1,26 +1,22 @@
 (* A bounded pool of worker domains for fork/join fan-out.
 
-   The pool exists to parallelize two shapes of work: the per-shard
-   mailbox drains inside [Emcall.invoke_batch], and bulk per-page
-   crypto (MEE store/load pipelines, Merkle leaf hashing). Both are
-   barrier-style: a caller submits a batch of independent jobs and
-   blocks until every job has finished, so the pool exposes exactly
-   that — [run_all] — and nothing stateful leaks across batches.
+   The pool serves one shape of work: [Exec.map] hands it a sweep's
+   independent points (each builds and drives its own platform) and
+   blocks until every point has finished. So the pool exposes exactly
+   that — [map] — and nothing stateful leaks across batches.
 
    Design constraints, in order:
 
-   - With [domains <= 1] (the deterministic default) every code path
-     degenerates to plain sequential calls on the calling domain, in
-     submission order, with no locking and no allocation beyond the
-     closure array the caller already built. Deterministic mode must
-     stay bit-identical to the pre-pool code.
+   - With [domains <= 1] every call degenerates to plain sequential
+     application on the calling domain, in input order, with no
+     locking and no spawned domain.
 
-   - Nested submissions must not deadlock. A shard drain running on a
-     worker may itself reach a parallel MEE pipeline; rather than
-     batch-tagged completion counting we run nested batches inline on
-     the worker that encountered them (detected via a domain-local
-     flag). Shard-level parallelism already owns the cores, so inner
-     parallelism would only add contention anyway.
+   - Nested submissions must not deadlock. A sweep point running on a
+     worker may itself reach another sweep; rather than batch-tagged
+     completion counting we run nested batches inline on the domain
+     that encountered them (detected via a domain-local flag). The
+     outer sweep already owns the cores, so inner parallelism would
+     only add contention anyway.
 
    - Worker failures must not be lost: the first exception raised by
      any job is re-raised on the submitting domain after the barrier,
@@ -36,43 +32,40 @@ type t = {
   mutable queue : job list;  (* jobs not yet picked up, submission order *)
   mutable outstanding : int;  (* queued + running jobs of the live batch *)
   mutable failure : exn option;  (* first job exception, re-raised at the barrier *)
-  mutable stop : bool;
-  mutable workers : unit Domain.t list;
-  is_shared : bool;  (* process-wide pool: [shutdown] is a no-op *)
 }
 
-(* Set while a domain is executing pool jobs; nested [run_all] calls
+(* Set while a domain is executing pool jobs; nested submissions
    observe it and fall back to inline execution. *)
 let in_worker : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
 
-let recommended_domains () = Domain.recommended_domain_count ()
+(* Run one job with the in-worker flag up, then retire it from the
+   batch. Called without [t.lock]; returns with it held. *)
+let run_job t job =
+  let flag = Domain.DLS.get in_worker in
+  flag := true;
+  (try job ()
+   with e ->
+     Mutex.lock t.lock;
+     if t.failure = None then t.failure <- Some e;
+     Mutex.unlock t.lock);
+  flag := false;
+  Mutex.lock t.lock;
+  t.outstanding <- t.outstanding - 1;
+  if t.outstanding = 0 then Condition.broadcast t.work_done
 
 let rec worker_loop t =
   Mutex.lock t.lock;
-  while t.queue = [] && not t.stop do
+  while t.queue = [] do
     Condition.wait t.work_ready t.lock
   done;
-  match t.queue with
-  | [] -> Mutex.unlock t.lock (* stop requested and queue drained *)
-  | job :: rest ->
-    t.queue <- rest;
-    Mutex.unlock t.lock;
-    let flag = Domain.DLS.get in_worker in
-    flag := true;
-    (try job ()
-     with e ->
-       Mutex.lock t.lock;
-       if t.failure = None then t.failure <- Some e;
-       Mutex.unlock t.lock);
-    flag := false;
-    Mutex.lock t.lock;
-    t.outstanding <- t.outstanding - 1;
-    if t.outstanding = 0 then Condition.broadcast t.work_done;
-    Mutex.unlock t.lock;
-    worker_loop t
+  let job = List.hd t.queue in
+  t.queue <- List.tl t.queue;
+  Mutex.unlock t.lock;
+  run_job t job;
+  Mutex.unlock t.lock;
+  worker_loop t
 
-let make ~domains ~is_shared =
-  let size = Stdlib.max 1 domains in
+let make ~size =
   let t =
     {
       size;
@@ -82,24 +75,20 @@ let make ~domains ~is_shared =
       queue = [];
       outstanding = 0;
       failure = None;
-      stop = false;
-      workers = [];
-      is_shared;
     }
   in
-  (* The submitting domain participates in draining, so [domains]
-     total parallelism needs [domains - 1] spawned workers. *)
-  if size > 1 then
-    t.workers <- List.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  (* The submitting domain participates in draining, so [size] total
+     parallelism needs [size - 1] spawned workers. They live for the
+     rest of the process. *)
+  for _ = 2 to size do
+    ignore (Domain.spawn (fun () -> worker_loop t))
+  done;
   t
 
-let create ~domains = make ~domains ~is_shared:false
-
 (* One process-wide pool per size. Domains are a hard-capped resource
-   (OCaml refuses to spawn past ~128 live domains), so anything that
-   creates pools at platform granularity — hundreds of platforms per
-   test run under the HYPERTEE_EXEC matrix — must share workers
-   rather than spawn-and-leak its own. *)
+   (OCaml refuses to spawn past ~128 live domains), so every sweep of
+   a given width shares the same workers rather than spawning its
+   own. *)
 let shared_lock = Mutex.create ()
 let shared_pools : (int, t) Hashtbl.t = Hashtbl.create 4
 
@@ -109,18 +98,15 @@ let shared ~domains =
       match Hashtbl.find_opt shared_pools size with
       | Some t -> t
       | None ->
-        let t = make ~domains:size ~is_shared:true in
+        let t = make ~size in
         Hashtbl.replace shared_pools size t;
         t)
-
-let size t = t.size
-
-let run_inline jobs = Array.iter (fun job -> job ()) jobs
 
 let run_all t jobs =
   let n = Array.length jobs in
   if n = 0 then ()
-  else if t.size <= 1 || n = 1 || !(Domain.DLS.get in_worker) then run_inline jobs
+  else if t.size <= 1 || n = 1 || !(Domain.DLS.get in_worker) then
+    Array.iter (fun job -> job ()) jobs
   else begin
     Mutex.lock t.lock;
     t.failure <- None;
@@ -129,22 +115,12 @@ let run_all t jobs =
     Condition.broadcast t.work_ready;
     (* Help drain: the submitter works the queue alongside the
        workers instead of blocking immediately. *)
-    let flag = Domain.DLS.get in_worker in
     let rec help () =
       match t.queue with
       | job :: rest ->
         t.queue <- rest;
         Mutex.unlock t.lock;
-        flag := true;
-        (try job ()
-         with e ->
-           Mutex.lock t.lock;
-           if t.failure = None then t.failure <- Some e;
-           Mutex.unlock t.lock);
-        flag := false;
-        Mutex.lock t.lock;
-        t.outstanding <- t.outstanding - 1;
-        if t.outstanding = 0 then Condition.broadcast t.work_done;
+        run_job t job;
         help ()
       | [] ->
         while t.outstanding > 0 do
@@ -168,14 +144,4 @@ let map t f inputs =
     let results = Array.make n None in
     run_all t (Array.init n (fun i () -> results.(i) <- Some (f inputs.(i))));
     Array.map (function Some v -> v | None -> assert false) results
-  end
-
-let shutdown t =
-  if not t.is_shared then begin
-    Mutex.lock t.lock;
-    t.stop <- true;
-    Condition.broadcast t.work_ready;
-    Mutex.unlock t.lock;
-    List.iter Domain.join t.workers;
-    t.workers <- []
   end

@@ -1,52 +1,29 @@
-(** A bounded pool of worker domains for barrier-style fan-out.
+(** A bounded pool of worker domains for barrier-style fan-out, the
+    engine under [Hypertee_sim.Exec.map].
 
-    One pool serves one submitting domain at a time: a caller hands
-    [run_all] an array of independent jobs and blocks until all have
-    run, helping to drain the queue itself while it waits. With
-    [domains <= 1] every operation degenerates to sequential inline
-    execution in submission order — no locks, no spawned domains —
-    so deterministic single-domain mode is bit-identical to code
-    that never heard of the pool.
+    One pool serves one submitting domain at a time: [map] hands the
+    pool one job per input and blocks until all have run, helping to
+    drain the queue itself while it waits. With [domains <= 1] every
+    call degenerates to sequential inline application in input order
+    — no locks, no spawned domains.
 
-    Nested submissions (a job calling [run_all] on the same pool)
-    are safe: they run inline on the domain that encountered them.
-    Concurrent top-level submissions from distinct domains are not
-    supported. *)
+    Nested submissions (a job calling [map] again) are safe: they run
+    inline on the domain that encountered them. Concurrent top-level
+    submissions from distinct domains are not supported. *)
 
 type t
 
-val recommended_domains : unit -> int
-(** [Domain.recommended_domain_count ()]: the parallelism the host
-    actually offers. *)
-
-val create : domains:int -> t
-(** [create ~domains] spawns [max 0 (domains - 1)] worker domains;
-    the submitter is the remaining unit of parallelism. [domains <= 1]
-    spawns nothing and makes every call inline. The caller owns the
-    pool and must {!shutdown} it. *)
-
 val shared : domains:int -> t
-(** [shared ~domains] is the process-wide pool of that size, created
-    on first request and reused forever after; {!shutdown} on it is a
-    no-op. Live domains are a hard-capped resource (OCaml refuses to
-    spawn past ~128), so per-platform pools — of which a test run
-    creates hundreds — must come from here rather than {!create}. *)
-
-val size : t -> int
-(** Total parallelism including the submitting domain (>= 1). *)
-
-val run_all : t -> (unit -> unit) array -> unit
-(** Run every job, in parallel when the pool has workers, and return
-    once all have finished. The first exception any job raised is
-    re-raised on the submitter after the barrier. Inline (sequential,
-    submission order) when the pool size is 1, the batch has a single
-    job, or the caller is itself a pool worker. *)
+(** [shared ~domains] is the process-wide pool of that size: total
+    parallelism [domains], the submitter included, so it spawns
+    [domains - 1] workers on first request and reuses them forever
+    after. Live domains are a hard-capped resource (OCaml refuses to
+    spawn past ~128), so there is no per-caller pool. *)
 
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map t f xs] is [Array.map f xs] with the element applications
-    distributed over the pool; result order matches input order. *)
-
-val shutdown : t -> unit
-(** Stop and join the workers of a {!create}d pool (jobs already
-    queued finish first; later [run_all]s degrade to the submitter
-    draining everything itself). No-op on a {!shared} pool. *)
+    distributed over the pool; result order matches input order. The
+    first exception any application raised is re-raised on the
+    submitter once every application has finished. Inline
+    (sequential, input order) when the pool size is 1, there is a
+    single input, or the caller is itself running a pool job. *)
