@@ -122,19 +122,22 @@ bench-smoke: build
 # The deterministic registry entries outside `all`, each pinned by
 # the md5 of its --quick stdout in the SWEEP_PIN style: `rebalance`
 # and `check` drive Emcall.invoke_batch, `metrics` the observability
-# counters, `conformance` the secure-channel vectors. Fails on a
-# nonzero exit (the entry's verdict) or on any other digest: all four
-# are on the modelled clock, so a new digest is a change to the model,
-# to be re-pinned here on purpose.
+# counters, `conformance` the secure-channel vectors, and `check
+# --deep` the deep invariant sweep, which flushes the MEE's MAC cache
+# and re-verifies every mapped page (a `+` in a pin's name separates
+# extra flags). Fails on a nonzero exit (the entry's verdict) or on
+# any other digest: all five are on the modelled clock, so a new
+# digest is a change to the model, to be re-pinned here on purpose.
 REGISTRY_PINS = rebalance:7cf0369e35dc4584cbca8c6b02922610 \
 	check:55aa291476257570b831f64fcbce4367 \
+	check+--deep:7765881b11ee5db8dab07f4fc914e516 \
 	metrics:695d687f9fae3d417b1fefb90c42640a \
 	conformance:264a8821658feaee5f3d2e2b33897be7
 
 registry-pins: build
 	@out=$$(mktemp); \
 	for pin in $(REGISTRY_PINS); do \
-		e=$${pin%%:*}; want=$${pin#*:}; \
+		e=$$(printf '%s' "$${pin%%:*}" | tr + ' '); want=$${pin#*:}; \
 		./_build/default/bin/hypertee_cli.exe $$e --quick > $$out \
 			|| { cat $$out; rm -f $$out; echo "registry-pins: $$e --quick exited nonzero" >&2; exit 1; }; \
 		got=$$(md5sum < $$out | cut -d' ' -f1); \

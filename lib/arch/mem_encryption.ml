@@ -13,24 +13,32 @@ type slot = {
 type entry = Free | Reserved | Programmed of slot
 
 (* Per-line integrity state. [tag] is the 28-bit truncated SHA-3 MAC
-   over the line's ciphertext. [verified_v] is the {!Phys_mem} write
-   version the ciphertext last *passed* verification at (or was
-   produced at, for the engine's own stores): while the frame version
-   still matches, a read skips the sponge entirely — the MAC cache
-   with lazy re-verification. Any DRAM mutation (engine write, page
-   scrub, or an attacker writing through [Phys_mem.borrow]) bumps the
-   frame version and so invalidates the cached verification without
-   the engine having to see the write. -1 = never verified.
+   over the line's ciphertext, or [pending_tag] for a line the engine
+   zero-stored and nobody has checked since: its MAC is computed the
+   first time a check needs it (see [line_tag_locked]). [verified_v]
+   is the {!Phys_mem} write version the ciphertext last *passed*
+   verification at (or was produced at, for the engine's own stores):
+   while the frame version still matches, a read skips the sponge
+   entirely — the MAC cache with lazy re-verification. Any DRAM
+   mutation (engine write, page scrub, or an attacker writing through
+   [Phys_mem.borrow]) bumps the frame version and so invalidates the
+   cached verification without the engine having to see the write.
+   -1 = never verified.
    [zeroed_v] is the frame write version at which the engine itself
    stored an all-zero page into this line (-1 = not a zero store, or
    the mark was flushed): while the frame version still matches, DRAM
    holds exactly that ciphertext and a repeated zero store is skipped
    (see [write_zero_page]). *)
 type line = {
-  tag : int;
+  mutable tag : int;
   mutable verified_v : int;
   mutable zeroed_v : int;
 }
+
+(* Tags are 28-bit, so no real tag is negative. *)
+let pending_tag = -1
+
+let page_size = Hypertee_util.Units.page_size
 
 type t = {
   table : entry array; (* index = KeyID; 0 is bypass *)
@@ -156,7 +164,7 @@ let record_line t ~key_id ~frame ~tag ~verified_v ~zeroed_v =
   Mutex.protect t.lock (fun () ->
       Hashtbl.replace t.macs (key_id, frame) { tag; verified_v; zeroed_v })
 
-let store_into_v t ~key_id ~frame ~src ~dst ~verified_v ~zeroed_v =
+let store_into_v ?(defer_mac = false) t ~key_id ~frame ~src ~dst ~verified_v ~zeroed_v =
   let len = Bytes.length src in
   if Bytes.length dst <> len then invalid_arg "Mem_encryption.store_into: length mismatch";
   if key_id = 0 then begin
@@ -166,7 +174,9 @@ let store_into_v t ~key_id ~frame ~src ~dst ~verified_v ~zeroed_v =
     let slot = slot_exn t key_id in
     Hypertee_crypto.Aes.ctr_into slot.key ~nonce:(tweak_for ~frame) ~src ~src_off:0 ~dst
       ~dst_off:0 len;
-    record_line t ~key_id ~frame ~tag:(line_mac t dst) ~verified_v ~zeroed_v
+    record_line t ~key_id ~frame
+      ~tag:(if defer_mac then pending_tag else line_mac t dst)
+      ~verified_v ~zeroed_v
   end
 
 let store_into t ~key_id ~frame ~src ~dst =
@@ -206,17 +216,39 @@ let maybe_flip t ~frame data =
     end
     else (data, false)
 
+(* Per-domain keystream scratch for computing pending tags, like
+   [tweak_scratch]. *)
+let keystream_scratch : bytes Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Bytes.create page_size)
+
+(* The line's tag, computing a pending one on first use. A pending
+   line was zero-stored by this engine, and a zero page's ciphertext
+   is the CTR keystream of the line's key and frame tweak alone: so
+   the tag is regenerated from those, never from the bytes under
+   check. The key is still the one the store used, because [revoke]
+   and [program] drop a KeyID's lines. Caller holds [t.lock]. *)
+let line_tag_locked t ~key_id ~frame ln =
+  if ln.tag = pending_tag then begin
+    let ks = Domain.DLS.get keystream_scratch in
+    Bytes.fill ks 0 page_size '\000';
+    Hypertee_crypto.Aes.ctr_into (slot_exn t key_id).key ~nonce:(tweak_for ~frame) ~src:ks
+      ~src_off:0 ~dst:ks ~dst_off:0 page_size;
+    ln.tag <- line_mac t ks
+  end;
+  ln.tag
+
 (* Verify the full ciphertext [data] against the stored line MAC and
    raise on mismatch. [mark] is the frame write version to cache on
    success (-1 = don't cache, for flipped copies and untracked
-   buffers). The sponge runs outside the lock; only the compare and
-   the cache update are serialized. *)
+   buffers). The sponge over [data] runs outside the lock; the
+   compare, a pending tag's one-time computation and the cache update
+   are serialized. *)
 let verify_line t ~key_id ~frame ~mark data =
   let mac = line_mac t data in
   let ok =
     Mutex.protect t.lock (fun () ->
         match Hashtbl.find_opt t.macs (key_id, frame) with
-        | Some ln when ln.tag = mac ->
+        | Some ln when line_tag_locked t ~key_id ~frame ln = mac ->
           if mark >= 0 then ln.verified_v <- mark;
           true
         | Some _ | None ->
@@ -300,8 +332,6 @@ let load t ~key_id ~frame data =
    layers; the read side additionally rides the verified-MAC cache
    through the frame write version. --- *)
 
-let page_size = Hypertee_util.Units.page_size
-
 let read_page t mem ~key_id ~frame =
   if key_id = 0 then Phys_mem.read mem ~frame
   else begin
@@ -354,8 +384,12 @@ let write_page t mem ~key_id ~frame src =
    or [borrow] bumps the version, [revoke]/[program] drop the line,
    [flush_mac_cache] clears the mark, and every other store replaces
    the line unmarked — each forces the next zero store to be real.
-   The [reference_mac] baseline engine never skips; KeyID 0 keeps no
-   lines, so its zero store is always the plain fill. *)
+   A real zero store writes the ciphertext but leaves the tag pending:
+   the line is verified at the store's version, so the engine's own
+   reads skip the check, and a check that does run computes the tag
+   then ([line_tag_locked]). The [reference_mac] baseline engine
+   never skips and MACs eagerly; KeyID 0 keeps no lines, so its zero
+   store is always the plain fill. *)
 let write_zero_page t mem ~key_id ~frame =
   let v = Phys_mem.version mem ~frame in
   let current =
@@ -372,7 +406,8 @@ let write_zero_page t mem ~key_id ~frame =
     let dram = Phys_mem.borrow mem ~frame in
     Bytes.fill dram 0 page_size '\000';
     let v = Phys_mem.version mem ~frame in
-    store_into_v t ~key_id ~frame ~src:dram ~dst:dram ~verified_v:v ~zeroed_v:v
+    store_into_v ~defer_mac:(not t.reference_mac) t ~key_id ~frame ~src:dram ~dst:dram
+      ~verified_v:v ~zeroed_v:v
   end
 
 let update_range t mem ~key_id ~frame ~off ~src ~src_off ~len =

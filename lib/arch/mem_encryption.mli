@@ -28,7 +28,11 @@
     engine itself zero-stored the line and the frame's write version
     has not moved since. It rides the same invariant: every event
     that invalidates a cached verification, and any other store to
-    the line, forces a real store. *)
+    the line, forces a real store. A real zero store leaves the
+    line's MAC pending: a zero page's ciphertext depends only on the
+    line's key and frame, so the first check that needs the tag
+    regenerates that ciphertext and MACs it. The engine's own reads
+    at the store's write version never need it. *)
 
 exception Integrity_violation of { frame : int }
 
@@ -96,13 +100,15 @@ val read_range : t -> Phys_mem.t -> key_id:int -> frame:int -> off:int -> len:in
 val write_page : t -> Phys_mem.t -> key_id:int -> frame:int -> bytes -> unit
 
 (** [write_zero_page t mem ~key_id ~frame] stores an all-zero page:
-    DRAM and the line MAC end byte-identical to [write_page] of a
-    zero page. The AES-CTR + MAC store is skipped when this engine
-    zero-stored the [(key_id, frame)] line and {!Phys_mem.version}
-    has not moved since, because DRAM already holds exactly those
-    bytes. Any DRAM write, [borrow], [revoke], [program], other store
-    to the line or [flush_mac_cache] forces a real store; a
-    [reference_mac] engine never skips. *)
+    DRAM ends byte-identical to [write_page] of a zero page, and so
+    does the line MAC once a check computes it (the store counts, but
+    only encrypts; the MAC waits for the first check that is not a
+    cache hit). The store is skipped when this engine zero-stored the
+    [(key_id, frame)] line and {!Phys_mem.version} has not moved
+    since, because DRAM already holds exactly those bytes. Any DRAM
+    write, [borrow], [revoke], [program], other store to the line or
+    [flush_mac_cache] forces a real store; a [reference_mac] engine
+    never skips and MACs every store at once. *)
 val write_zero_page : t -> Phys_mem.t -> key_id:int -> frame:int -> unit
 
 (** [update_range t mem ~key_id ~frame ~off ~src ~src_off ~len]

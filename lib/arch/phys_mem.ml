@@ -14,6 +14,9 @@ type t = {
   owners : owner array;
   contents : bytes option array; (* lazily allocated *)
   versions : int array; (* per-frame write version, see [version] *)
+  mutable low_free : int;
+      (* no frame below this one is [Free]: [find_free] starts here
+         instead of scanning the EMS carve-out on every call *)
 }
 
 let create ~frames =
@@ -22,6 +25,7 @@ let create ~frames =
     owners = Array.make frames Free;
     contents = Array.make frames None;
     versions = Array.make frames 0;
+    low_free = 0;
   }
 
 let frames t = Array.length t.owners
@@ -35,7 +39,8 @@ let owner t frame =
 
 let set_owner t frame o =
   check_frame t frame;
-  t.owners.(frame) <- o
+  t.owners.(frame) <- o;
+  match o with Free -> if frame < t.low_free then t.low_free <- frame | _ -> ()
 
 let count_owned t pred = Array.fold_left (fun acc o -> if pred o then acc + 1 else acc) 0 t.owners
 
@@ -136,12 +141,19 @@ let write_u64 t ~frame ~off v =
   touch t frame;
   Hypertee_util.Bytes_ext.set_u64_le (materialize t frame) off v
 
+let is_free = function Free -> true | _ -> false
+
+(* The lowest [n] free frames, scanning up from [low_free]. The first
+   free frame the scan meets becomes the new bound: everything below
+   it was just seen taken. *)
 let find_free t ~n =
-  let acc = ref [] and found = ref 0 in
   let total = frames t in
-  let i = ref 0 in
+  let rec first i = if i < total && not (is_free t.owners.(i)) then first (i + 1) else i in
+  t.low_free <- first t.low_free;
+  let acc = ref [] and found = ref 0 in
+  let i = ref t.low_free in
   while !found < n && !i < total do
-    if t.owners.(!i) = Free then begin
+    if is_free t.owners.(!i) then begin
       acc := !i :: !acc;
       incr found
     end;

@@ -79,8 +79,10 @@ val read_u64 : t -> frame:int -> off:int -> int64
 
 val write_u64 : t -> frame:int -> off:int -> int64 -> unit
 
-(** [find_free t ~n] returns [n] free frame numbers (ascending) or
-    [None] if memory is exhausted. Does not change ownership. *)
+(** [find_free t ~n] returns the [n] lowest free frame numbers
+    (ascending) or [None] if memory is exhausted. Does not change
+    ownership. The scan starts from a lower bound below which no
+    frame is free, which [set_owner _ Free] lowers. *)
 val find_free : t -> n:int -> int list option
 
 val pp_owner : Format.formatter -> owner -> unit

@@ -49,6 +49,10 @@ type t = {
   engine : Hypertee_crypto.Engine.t;
   cost : Cost.t;
   platform_measurement : bytes;
+  platform_certificate : bytes;
+      (* EK signature over [platform_measurement]: both are fixed for
+         the boot, so the certificate is issued once, here, and every
+         quote carries it *)
   faults : Fault.t option;
   chans : Hypertee_ems.Chan.t;
       (* platform-global secure-channel fabric, shared by every shard
@@ -105,6 +109,9 @@ let create ?(seed = 0x4854454531L (* "HTEE1" *)) ?(config = Config.default) ?fau
         (Printf.sprintf "Platform.create: secure boot halted at %s: %s"
            (Hypertee_ems.Boot.stage_name at) reason)
   in
+  let platform_certificate =
+    Hypertee_ems.Attest.platform_certificate keys ~platform_measurement
+  in
   (* Compile the fault plan into one injector shared by every hook of
      this platform instance. With no plan the hooks stay [None] and
      every fault path is provably dead: no RNG draw, no branch taken,
@@ -155,7 +162,7 @@ let create ?(seed = 0x4854454531L (* "HTEE1" *)) ?(config = Config.default) ?fau
         ~mem ~bitmap ~mee ~keys ~cost
         ~os_request:(fun ~n -> Os.pool_request os ~n)
         ~os_return:(fun ~frames -> Os.pool_return os ~frames)
-        ~platform_measurement ()
+        ~platform_measurement ~platform_certificate ()
     in
     wire_journal s runtime;
     let mailbox = Mailbox.create ~depth:256 () in
@@ -299,6 +306,7 @@ let create ?(seed = 0x4854454531L (* "HTEE1" *)) ?(config = Config.default) ?fau
       engine;
       cost;
       platform_measurement;
+      platform_certificate;
       faults = injector;
       chans;
       journals;
@@ -646,7 +654,8 @@ let migrate ?crash_after t ~enclave ~target =
                         in
                         let quote =
                           Hypertee_ems.Attest.make_quote t.keys
-                            ~platform_measurement:t.platform_measurement ~enclave_measurement:m
+                            ~platform_measurement:t.platform_measurement
+                            ~platform_certificate:t.platform_certificate ~enclave_measurement:m
                             ~user_data:(Bytes.of_string "hypertee-migration-v1")
                         in
                         let transcript =
@@ -773,7 +782,7 @@ let recover_shard t s =
       ~mem:t.mem ~bitmap:t.bitmap ~mee:t.mee ~keys:t.keys ~cost:t.cost
       ~os_request:(fun ~n -> Os.pool_request t.os ~n)
       ~os_return:(fun ~frames -> Os.pool_return t.os ~frames)
-      ~platform_measurement:t.platform_measurement ()
+      ~platform_measurement:t.platform_measurement ~platform_certificate:t.platform_certificate ()
   in
   Runtime.set_recorder runtime (fun ~sender request response ->
       Journal.record t.journals.(s) ~sender request response);

@@ -57,12 +57,11 @@ let pool_request t ~n =
   Mutex.protect t.lock (fun () -> t.ems_refills <- t.ems_refills + 1);
   alloc_frames t ~n
 
-let pool_return t ~frames =
-  (* EMS already zeroed and freed ownership; just fold them back. *)
-  Mutex.protect t.lock @@ fun () ->
-  List.iter
-    (fun f -> if Phys_mem.owner t.mem f = Phys_mem.Free then () else Phys_mem.set_owner t.mem f Phys_mem.Free)
-    frames
+(* Zero on the way back: EMS pool frames arrive already zeroed, but
+   an enclave's staging window is host memory the tenant wrote in
+   plaintext, and the next allocation hands the lowest free frames
+   straight to another enclave. *)
+let pool_return = free_frames
 
 let spawn t =
   let alloc () =

@@ -34,6 +34,9 @@ val ems_refill_requests : t -> int
 (** Hooks to hand to [Hypertee_ems.Mem_pool]. *)
 val pool_request : t -> n:int -> int list
 
+(** [pool_return t ~frames] zeroes the frames and frees them: a
+    destroyed enclave's staging window comes back through here with
+    whatever the host wrote in it. *)
 val pool_return : t -> frames:int list -> unit
 
 (** [spawn t] creates a process with an empty page table. *)

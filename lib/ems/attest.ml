@@ -11,7 +11,26 @@ let quote_body ~platform_measurement ~enclave_measurement ~user_data =
     [ Bytes.of_string "HTQUOTE1"; platform_measurement; enclave_measurement;
       Hypertee_crypto.Sha256.digest user_data ]
 
-let make_quote keys ~platform_measurement ~enclave_measurement ~user_data =
+let platform_certificate keys ~platform_measurement =
+  Keymgmt.sign_with_ek keys platform_measurement
+
+(* The certificate is a deterministic EK signature over a measurement
+   fixed at boot, so every quote of a boot carries the same bytes:
+   only the quote body needs a fresh (AK) signature. *)
+let make_quote keys ~platform_measurement ~platform_certificate ~enclave_measurement ~user_data =
+  let body = quote_body ~platform_measurement ~enclave_measurement ~user_data in
+  let quote_signature = Keymgmt.sign_with_ak keys body in
+  {
+    platform_measurement;
+    enclave_measurement;
+    user_data;
+    platform_signature = platform_certificate;
+    quote_signature;
+  }
+
+(* Both signatures on every call: the construction [make_quote] must
+   reproduce byte for byte. *)
+let make_quote_reference keys ~platform_measurement ~enclave_measurement ~user_data =
   let platform_signature = Keymgmt.sign_with_ek keys platform_measurement in
   let body = quote_body ~platform_measurement ~enclave_measurement ~user_data in
   let quote_signature = Keymgmt.sign_with_ak keys body in

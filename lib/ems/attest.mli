@@ -1,9 +1,10 @@
 (** Measurement, attestation and sealing services (paper Sec. VI).
 
     - Quotes: EMS signs (platform measurement, enclave measurement,
-      user data) — the platform certificate with EK, the enclave
-      quote with AK. A remote verifier checks both signatures and
-      compares measurements against expectations.
+      user data) — the platform certificate with EK, once per boot,
+      the enclave quote with AK, once per quote. A remote verifier
+      checks both signatures and compares measurements against
+      expectations.
     - Local attestation: a report MAC keyed by a report key derived
       from the challenger's measurement and SK, so only EMS (and thus
       only same-platform enclaves via EMS) can produce or check it.
@@ -20,9 +21,30 @@ type quote = {
   quote_signature : bytes;  (** AK over the whole body *)
 }
 
-(** [make_quote keys ~platform_measurement ~enclave_measurement
-    ~user_data] — the EATTEST service routine. *)
+(** [platform_certificate keys ~platform_measurement] — the EK
+    signature over the platform measurement. Signing is deterministic
+    and neither input changes after boot, so the platform issues it
+    once, at boot, and passes it to every quote. *)
+val platform_certificate : Keymgmt.t -> platform_measurement:bytes -> bytes
+
+(** [make_quote keys ~platform_measurement ~platform_certificate
+    ~enclave_measurement ~user_data] — the EATTEST service routine:
+    one AK signature over the quote body, with [platform_certificate]
+    (from {!platform_certificate} over the same measurement) carried
+    as the platform signature. *)
 val make_quote :
+  Keymgmt.t ->
+  platform_measurement:bytes ->
+  platform_certificate:bytes ->
+  enclave_measurement:bytes ->
+  user_data:bytes ->
+  quote
+
+(** [make_quote_reference keys ~platform_measurement
+    ~enclave_measurement ~user_data] signs both halves on every call
+    (EK over the platform measurement, AK over the body). Retained as
+    the reference: {!make_quote} must equal it byte for byte. *)
+val make_quote_reference :
   Keymgmt.t -> platform_measurement:bytes -> enclave_measurement:bytes -> user_data:bytes -> quote
 
 (** Wire encoding (what travels to the remote verifier). *)

@@ -19,10 +19,10 @@ let build_registry () =
   registry
 
 let create ?first_enclave_id ?first_shm_id ?id_stride ?chans ~rng ~mem ~bitmap ~mee ~keys ~cost
-    ~os_request ~os_return ~platform_measurement () =
+    ~os_request ~os_return ~platform_measurement ~platform_certificate () =
   let state =
     State.create ?first_enclave_id ?first_shm_id ?id_stride ?chans ~rng ~mem ~bitmap ~mee ~keys
-      ~cost ~os_request ~os_return ~platform_measurement ()
+      ~cost ~os_request ~os_return ~platform_measurement ~platform_certificate ()
   in
   { state; registry = build_registry (); recorder = None; containment_recorder = None }
 

@@ -27,7 +27,9 @@ type t
     residue class and [(id-1) mod n] recovers the owning shard. The
     defaults (1, 1, 1) are the single-shard behaviour. [chans] is
     the platform-shared secure-channel fabric; every shard of one
-    platform must be handed the same value. *)
+    platform must be handed the same value, as must
+    [platform_certificate], the boot-time EK signature over
+    [platform_measurement] ({!Attest.platform_certificate}). *)
 val create :
   ?first_enclave_id:int ->
   ?first_shm_id:int ->
@@ -42,6 +44,7 @@ val create :
   os_request:(n:int -> int list) ->
   os_return:(frames:int list -> unit) ->
   platform_measurement:bytes ->
+  platform_certificate:bytes ->
   unit ->
   t
 

@@ -17,6 +17,7 @@ type t = {
   enclaves : (Types.enclave_id, Enclave.t) Hashtbl.t;
   audit : Audit.t;
   platform_measurement : bytes;
+  platform_certificate : bytes;
   served : (Types.opcode, int) Hashtbl.t;
   os_request : n:int -> int list;
   os_return : frames:int list -> unit;
@@ -34,7 +35,7 @@ type t = {
 let warm_capacity = 8
 
 let create ?(first_enclave_id = 1) ?(first_shm_id = 1) ?(id_stride = 1) ?chans ~rng ~mem ~bitmap
-    ~mee ~keys ~cost ~os_request ~os_return ~platform_measurement () =
+    ~mee ~keys ~cost ~os_request ~os_return ~platform_measurement ~platform_certificate () =
   if id_stride < 1 then invalid_arg "State.create: id_stride must be >= 1";
   let pool_rng = Hypertee_util.Xrng.split rng in
   let pool =
@@ -53,6 +54,7 @@ let create ?(first_enclave_id = 1) ?(first_shm_id = 1) ?(id_stride = 1) ?chans ~
     enclaves = Hashtbl.create 16;
     audit = Audit.create ();
     platform_measurement;
+    platform_certificate;
     served = Hashtbl.create 16;
     os_request;
     os_return;

@@ -25,6 +25,10 @@ type t = {
   enclaves : (Types.enclave_id, Enclave.t) Hashtbl.t;
   audit : Audit.t;
   platform_measurement : bytes;
+  platform_certificate : bytes;
+      (** EK signature over [platform_measurement], issued once at
+          boot ({!Attest.platform_certificate}) and carried by every
+          quote this shard signs. *)
   served : (Types.opcode, int) Hashtbl.t;
   os_request : n:int -> int list;
   os_return : frames:int list -> unit;
@@ -77,6 +81,7 @@ val create :
   os_request:(n:int -> int list) ->
   os_return:(frames:int list -> unit) ->
   platform_measurement:bytes ->
+  platform_certificate:bytes ->
   unit ->
   t
 

@@ -25,7 +25,7 @@ let handle_attest t ~sender ~enclave ~user_data =
   | Some m ->
     let quote =
       Attest.make_quote t.keys ~platform_measurement:t.platform_measurement
-        ~enclave_measurement:m ~user_data
+        ~platform_certificate:t.platform_certificate ~enclave_measurement:m ~user_data
     in
     Types.Ok_attest { quote = Attest.quote_to_bytes quote }
 

@@ -298,6 +298,9 @@ let handle_retire t ~enclave =
       | _ -> false
     in
     if parkable then begin
+      (* The staging window stays mapped while parked: clear what the
+         host and the session left in it. *)
+      List.iter (fun frame -> Phys_mem.zero t.mem ~frame) e.Enclave.staging_frames;
       (* Scrub unmeasured static pages (heap, stack, and any static
          page EADD never wrote) so no tenant data crosses sessions. *)
       let added = List.map fst e.Enclave.added_pages in

@@ -2,10 +2,13 @@
 
     Every other experiment reports modelled time; this one measures
     real elapsed time of the simulator's hot paths (AES-CTR pages,
-    SHA-256/SHA-3 hashing, RSA signing, the MEE round trip,
-    Create_Enclave, a page-table walk, enclave heap access,
+    SHA-256/SHA-3 hashing, RSA signing, the EATTEST quote, the MEE
+    round trip and zero-page store, Create_Enclave, EWARM, ERETIRE
+    and the cold launch, a page-table walk, enclave heap access,
     EALLOC+EFREE, and a fig6-style sweep), so [BENCH_perf.json]
-    tracks MB/s across PRs. *)
+    tracks MB/s across PRs. Two entries are on the modelled clock:
+    warm vs cold create ([cloud-warm-create], a [modelled-speedup])
+    and the p99 at the cloud knee. *)
 
 type sample = {
   target : string;  (** what was measured, e.g. ["aes-ctr-page"] *)
@@ -65,7 +68,11 @@ val compare_to_baseline :
   tolerance_pct:float ->
   sample list ->
   regression list
-(** Regressions of the [speedup-vs-reference] ratios against the
-    baseline. Only ratios gate: both sides of a ratio run on the same
-    machine, so it is portable, while raw MB/s compared against a
-    file committed from different hardware would flap. *)
+(** Regressions against the baseline: a [speedup-vs-reference] ratio
+    more than [tolerance_pct] below it, a modelled [p99-latency] more
+    than [tolerance_pct] above it, or a [modelled-latency] or
+    [modelled-speedup] that differs from it at all (at the file's six
+    decimals). Raw host numbers never gate: both sides of a host ratio
+    run on the same machine, so the ratio is portable, while raw MB/s
+    compared against a file committed from different hardware would
+    flap. *)

@@ -517,10 +517,12 @@ let perf (p : params) oc =
     | Some (path, base) ->
       let regs = Perf.compare_to_baseline ~baseline:base ~tolerance_pct samples in
       if regs = [] then
-        note oc "perf guard: speedup ratios within %.0f%% of %s" tolerance_pct path;
+        note oc "perf guard: speedup ratios within %.0f%% of %s, modelled values equal"
+          tolerance_pct path;
       List.iter
         (fun r ->
-          note oc "perf guard: REGRESSION %s %s: %.2fx -> %.2fx (tolerance %.0f%%)"
+          note oc
+            "perf guard: REGRESSION %s %s: %.2f -> %.2f (ratios: tolerance %.0f%%; modelled: exact)"
             r.Perf.r_target r.Perf.r_metric r.Perf.r_baseline r.Perf.r_current tolerance_pct)
         regs;
       regs

@@ -91,6 +91,57 @@ let test_phys_mem_find_free () =
   | None -> Alcotest.fail "should find frames");
   check Alcotest.bool "exhaustion" true (Phys_mem.find_free mem ~n:7 = None)
 
+(* [find_free] keeps a lowest-free cursor; it must return exactly
+   what a scan from frame 0 returns, over any interleaving of owner
+   changes and lookups. *)
+let prop_find_free_matches_scan =
+  let scan mem ~n =
+    let rec go i acc found =
+      if found = n then Some (List.rev acc)
+      else if i >= Phys_mem.frames mem then None
+      else if Phys_mem.owner mem i = Phys_mem.Free then go (i + 1) (i :: acc) (found + 1)
+      else go (i + 1) acc found
+    in
+    go 0 [] 0
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun f taken -> `Set (f, taken)) (int_range 0 23) bool);
+          (2, map (fun n -> `Find n) (int_range 0 6));
+          (1, map (fun n -> `Take n) (int_range 1 4));
+        ])
+  in
+  let show = function
+    | `Set (f, taken) -> Printf.sprintf "set %d %s" f (if taken then "taken" else "free")
+    | `Find n -> Printf.sprintf "find %d" n
+    | `Take n -> Printf.sprintf "take %d" n
+  in
+  prop
+    (QCheck.Test.make ~name:"find_free = linear scan from frame 0" ~count:300
+       (QCheck.make
+          ~print:(fun ops -> String.concat "; " (List.map show ops))
+          ~shrink:QCheck.Shrink.list
+          QCheck.Gen.(list_size (int_range 1 60) op))
+       (fun ops ->
+         let mem = fresh_mem ~frames:24 () in
+         List.for_all
+           (function
+             | `Set (f, taken) ->
+               Phys_mem.set_owner mem f (if taken then Phys_mem.Cs_os else Phys_mem.Free);
+               true
+             | `Find n -> Phys_mem.find_free mem ~n = scan mem ~n
+             | `Take n -> (
+               (* What the OS allocator does: find, then claim. *)
+               let expected = scan mem ~n in
+               match Phys_mem.find_free mem ~n with
+               | Some fs as got ->
+                 List.iter (fun f -> Phys_mem.set_owner mem f Phys_mem.Pool) fs;
+                 got = expected
+               | None -> expected = None))
+           ops))
+
 (* --- Page_table --- *)
 
 let make_pt mem = Page_table.create mem ~node_owner:Phys_mem.Cs_os ~alloc:(Page_table.default_alloc mem)
@@ -676,6 +727,7 @@ let suite =
         Alcotest.test_case "sub access" `Quick test_phys_mem_sub_access;
         Alcotest.test_case "bounds" `Quick test_phys_mem_bounds;
         Alcotest.test_case "find_free" `Quick test_phys_mem_find_free;
+        prop_find_free_matches_scan;
       ] );
     ( "arch.page_table",
       [

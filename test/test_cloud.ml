@@ -217,6 +217,63 @@ let test_retire_scrubs_heap_and_stack () =
   if not (Hypertee_check.Invariant.ok report) then
     Alcotest.failf "deep sweep: %s" (Hypertee_check.Invariant.report_to_string report)
 
+(* --- Staging-window residue: the staging window is plaintext host
+   memory, so bytes a session left there must not reach the next
+   session that gets the frames, cold or warm. --- *)
+
+let staging_secret = Bytes.of_string "TENANT-A-SECRET"
+
+let staging_head platform ~enclave =
+  match
+    Sdk.host_read_staging platform ~enclave ~off:0 ~len:(Bytes.length staging_secret)
+  with
+  | Ok b -> b
+  | Error m -> Alcotest.failf "host_read_staging: %s" m
+
+let write_secret platform ~enclave =
+  match Sdk.host_write_staging platform ~enclave ~off:0 staging_secret with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "host_write_staging: %s" m
+
+let test_staging_cleared_cold () =
+  let platform = Platform.create ~seed:0x57A61L () in
+  let ok what = function Ok v -> v | Error m -> Alcotest.failf "%s: %s" what m in
+  let image tag =
+    Sdk.image_of_code ~config:small_config ~code:(Bytes.of_string tag)
+      ~data:(Bytes.of_string "data") ()
+  in
+  let a = ok "launch A" (Sdk.launch platform (image "tenant A")) in
+  write_secret platform ~enclave:a;
+  let frame_of enclave =
+    match Platform.find_enclave platform enclave with
+    | Some e -> List.hd e.Hypertee_ems.Enclave.staging_frames
+    | None -> Alcotest.fail "enclave not found"
+  in
+  let a_frame = frame_of a in
+  ok "destroy A" (Sdk.destroy platform ~enclave:a);
+  let b = ok "launch B" (Sdk.launch platform (image "tenant B")) in
+  Alcotest.(check int) "B reuses A's staging frame" a_frame (frame_of b);
+  Alcotest.(check bytes) "B's staging starts zeroed"
+    (Bytes.make (Bytes.length staging_secret) '\000')
+    (staging_head platform ~enclave:b)
+
+let test_staging_cleared_warm () =
+  let platform = Platform.create ~seed:0x57A62L () in
+  let ok what = function Ok v -> v | Error m -> Alcotest.failf "%s: %s" what m in
+  let image =
+    Sdk.image_of_code ~config:small_config ~code:(Bytes.of_string "warm staging")
+      ~data:(Bytes.of_string "data") ()
+  in
+  let enclave = ok "launch" (Sdk.launch platform image) in
+  write_secret platform ~enclave;
+  ok "retire" (Sdk.retire platform ~enclave);
+  (match ok "warm launch" (Sdk.warm_launch platform image) with
+  | id, `Warm -> Alcotest.(check int) "same enclave revived" enclave id
+  | _, `Cold -> Alcotest.fail "warm pool missed");
+  Alcotest.(check bytes) "revived staging starts zeroed"
+    (Bytes.make (Bytes.length staging_secret) '\000')
+    (staging_head platform ~enclave)
+
 (* --- Closed-loop smoke run of the cloud driver: a tiny tenant fleet
    must complete sessions, hit the warm pool, and leave the platform
    clean under the deep sweep and the oracle. --- *)
@@ -240,6 +297,8 @@ let suite =
         prop_warm_measurement_identical;
         Alcotest.test_case "ERETIRE scrubs heap and stack, skipped or not" `Quick
           test_retire_scrubs_heap_and_stack;
+        Alcotest.test_case "EDESTROY clears the staging window" `Quick test_staging_cleared_cold;
+        Alcotest.test_case "ERETIRE clears the staging window" `Quick test_staging_cleared_warm;
         Alcotest.test_case "closed-loop smoke: clean, warm hits, progress" `Quick
           test_cloud_closed_smoke;
       ] );

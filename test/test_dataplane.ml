@@ -226,6 +226,32 @@ let test_zero_store_skip_untouched () =
   check Alcotest.bytes "still reads back as zeros" zeros
     (Mem_encryption.read_page mee mem ~key_id:1 ~frame:2)
 
+(* A zero store leaves its line's MAC pending. The engine's own reads
+   at the store's version skip the check; a check that does run
+   computes the tag from the line's key and frame, not from the bytes
+   under check, so tampering before the first check is still caught. *)
+let test_zero_store_tag_deferred () =
+  let mee, mem = fresh () in
+  Mem_encryption.write_zero_page mee mem ~key_id:1 ~frame:2;
+  check Alcotest.int "the store is counted" 1 (mee_counter mee "stores");
+  check Alcotest.bytes "own read skips the check" zeros
+    (Mem_encryption.read_page mee mem ~key_id:1 ~frame:2);
+  check Alcotest.int "cache hit" 1 (Mem_encryption.mac_cache_hits mee);
+  check Alcotest.bytes "detached load computes the tag" zeros
+    (Mem_encryption.load mee ~key_id:1 ~frame:2 (Phys_mem.read mem ~frame:2));
+  Mem_encryption.write_zero_page mee mem ~key_id:1 ~frame:3;
+  let dram = Phys_mem.borrow mem ~frame:3 in
+  Bytes.set dram 9 (Char.chr (Char.code (Bytes.get dram 9) lxor 0x04));
+  (try
+     ignore (Mem_encryption.read_page mee mem ~key_id:1 ~frame:3);
+     Alcotest.fail "expected Integrity_violation on a tampered zero line"
+   with Mem_encryption.Integrity_violation { frame } -> check Alcotest.int "frame" 3 frame);
+  (* A zero line checked under another frame's tweak fails. *)
+  Mem_encryption.write_zero_page mee mem ~key_id:1 ~frame:4;
+  match Mem_encryption.load mee ~key_id:1 ~frame:4 (Phys_mem.read mem ~frame:2) with
+  | _ -> Alcotest.fail "expected Integrity_violation for another frame's zero page"
+  | exception Mem_encryption.Integrity_violation _ -> ()
+
 (* Zero-store [frame] under KeyID 1, apply [event], zero-store again:
    the second store must be real and the page must read back as
    zeros under KeyID 1's current key. *)
@@ -264,14 +290,17 @@ let test_reference_engine_never_skips () =
   check Alcotest.int "no skips" 0 (mee_counter mee "zero_store_skips")
 
 (* Random traffic over 3 frames x 2 KeyIDs, replayed on the fast
-   engine (which skips zero stores and caches verifications) and on
-   the reference engine (which does neither): DRAM and every read's
-   outcome must agree byte for byte. *)
+   engine (which skips zero stores, defers zero-store MACs and caches
+   verifications) and on the reference engine (which does none of
+   these): DRAM and every read's outcome must agree byte for byte.
+   [Load] checks a detached copy of the frame, which no cached
+   verification covers, so it always needs the line's tag. *)
 type op =
   | Zero of int * int (* frame, key_id *)
   | Write of int * int * int (* frame, key_id, pattern *)
   | Tamper of int * int (* frame, byte *)
   | Read of int * int (* frame, key_id *)
+  | Load of int * int (* frame, key_id *)
   | Rekey of int * char (* key_id, key byte *)
   | Flush
 
@@ -280,6 +309,7 @@ let show_op = function
   | Write (f, k, p) -> Printf.sprintf "write f%d k%d p%d" f k p
   | Tamper (f, b) -> Printf.sprintf "tamper f%d @%d" f b
   | Read (f, k) -> Printf.sprintf "read f%d k%d" f k
+  | Load (f, k) -> Printf.sprintf "load f%d k%d" f k
   | Rekey (k, c) -> Printf.sprintf "rekey k%d %C" k c
   | Flush -> "flush"
 
@@ -292,6 +322,7 @@ let op_gen =
       (2, map3 (fun f k p -> Write (f, k, p)) frame key (int_range 1 255));
       (1, map2 (fun f b -> Tamper (f, b)) frame (int_range 0 (page_size - 1)));
       (3, map2 (fun f k -> Read (f, k)) frame key);
+      (2, map2 (fun f k -> Load (f, k)) frame key);
       (1, map2 (fun k c -> Rekey (k, c)) key (oneofl [ 'A'; 'B'; 'C' ]));
       (1, return Flush);
     ]
@@ -316,6 +347,10 @@ let replay ~reference_mac ops =
           None
         | Read (frame, key_id) -> (
           match Mem_encryption.read_page mee mem ~key_id ~frame with
+          | page -> Some (Some page)
+          | exception Mem_encryption.Integrity_violation _ -> Some None)
+        | Load (frame, key_id) -> (
+          match Mem_encryption.load mee ~key_id ~frame (Phys_mem.read mem ~frame) with
           | page -> Some (Some page)
           | exception Mem_encryption.Integrity_violation _ -> Some None)
         | Rekey (key_id, c) ->
@@ -470,28 +505,34 @@ let test_perf_run_and_json () =
       "sha3-256-page";
       "keccak-mac28-page";
       "mee-store-load-page";
+      "mee-zero-store";
       "chan-record-seal";
-      "cloud-warm-create";
       "rsa-sign";
+      "eattest-quote";
     ];
   List.iter
     (fun target ->
       check Alcotest.bool (target ^ " latency present") true
         (Perf.find samples ~target ~metric:"latency" <> None))
-    [ "pt-walk"; "session-rw/64B"; "ealloc-efree/4pages"; "eretire" ];
-  (* Every speedup-vs-reference ratio must compare like with like:
-     its two sides are the samples [target] and [target-reference],
-     and both must exist and measure the same unit of work (same
-     metric, same unit). The chan-record-seal reference was once a
-     bare chunk-copy loop — a throughput "pair" whose ratio only
-     measured memcpy against real crypto. *)
+    [ "pt-walk"; "session-rw/64B"; "ealloc-efree/4pages"; "eretire"; "ewarm"; "cold-launch" ];
+  (* Warm vs cold create is on the modelled clock: deterministic, and
+     a warm create must beat the cold launch. *)
+  (match Perf.find samples ~target:"cloud-warm-create" ~metric:"modelled-speedup" with
+  | Some s -> check Alcotest.bool "modelled warm beats cold" true (s.Perf.value > 1.0)
+  | None -> Alcotest.fail "cloud-warm-create modelled-speedup missing");
+  (* Every ratio must compare like with like: its two sides are the
+     samples [target] and [target-reference], and both must exist and
+     measure the same unit of work (same metric, same unit). The
+     chan-record-seal reference was once a bare chunk-copy loop — a
+     throughput "pair" whose ratio only measured memcpy against real
+     crypto. *)
   List.iter
     (fun s ->
-      if s.Perf.metric = "speedup-vs-reference" then begin
+      if s.Perf.metric = "speedup-vs-reference" || s.Perf.metric = "modelled-speedup" then begin
         let side metric_label t =
           match
             List.find_opt
-              (fun c -> c.Perf.target = t && c.Perf.metric <> "speedup-vs-reference")
+              (fun c -> c.Perf.target = t && c.Perf.metric <> s.Perf.metric)
               samples
           with
           | Some c -> c
@@ -544,7 +585,19 @@ let test_perf_run_and_json () =
       baseline
   in
   check Alcotest.bool "inflated baseline: regression reported" true
-    (Perf.compare_to_baseline ~baseline:inflated ~tolerance_pct:30.0 samples <> [])
+    (Perf.compare_to_baseline ~baseline:inflated ~tolerance_pct:30.0 samples <> []);
+  (* Modelled values gate exactly: a move far inside the tolerance
+     still fails. *)
+  let nudged =
+    List.map
+      (fun (t, m, v) -> if m = "modelled-speedup" then (t, m, v *. 1.001) else (t, m, v))
+      baseline
+  in
+  check Alcotest.(list string) "nudged modelled ratio: regression reported"
+    [ "cloud-warm-create" ]
+    (List.map
+       (fun r -> r.Perf.r_target)
+       (Perf.compare_to_baseline ~baseline:nudged ~tolerance_pct:30.0 samples))
 
 let suite =
   [
@@ -574,6 +627,8 @@ let suite =
         Alcotest.test_case "flush forces a real zero store" `Quick after_flush;
         Alcotest.test_case "reference engine never skips" `Quick
           test_reference_engine_never_skips;
+        Alcotest.test_case "zero-store MAC computed when checked" `Quick
+          test_zero_store_tag_deferred;
         prop_zero_skip_matches_reference;
       ] );
     ( "dataplane.keccak",

@@ -200,6 +200,43 @@ let test_kill_and_recover_shard () =
   ignore (gate "post-recovery alloc" platform (Emcall.User_enclave e0) (Types.Alloc { enclave = e0; pages = 1 }));
   clean "post-recovery" platform
 
+(* --- EATTEST quote bytes: known answers --- *)
+
+(* The md5 of every EATTEST response quote on a fixed-seed 2-shard
+   platform, one enclave per shard, then again after shard 0 is
+   killed and rebuilt by journal replay. The quote is a pure function
+   of the root keys, the platform and enclave measurements and the
+   user data, so none of these may move while the host-side signing
+   path changes. *)
+let test_quote_bytes_known_answer () =
+  let platform = fresh ~shards:2 ~seed:0x0A77E57L () in
+  let e0, _ = build_enclave ~fill:0x31 platform in
+  let e1, _ = build_enclave ~fill:0x52 platform in
+  check Alcotest.(list int) "one enclave per shard" [ 0; 1 ]
+    [ Platform.shard_of_enclave platform e0; Platform.shard_of_enclave platform e1 ];
+  let quote_md5 enclave =
+    match
+      gate "attest" platform (Emcall.User_enclave enclave)
+        (Types.Attest { enclave; user_data = Bytes.of_string "quote-kat" })
+    with
+    | Types.Ok_attest { quote } -> Digest.to_hex (Digest.bytes quote)
+    | _ -> Alcotest.fail "attest: unexpected response"
+  in
+  let expected =
+    [ (e0, "6da454ae33501b1293d932460f4ff8b8"); (e1, "6b2a610a867ecc81089d3c67d2db222c") ]
+  in
+  let pin label =
+    List.iter
+      (fun (enclave, want) ->
+        check Alcotest.string (Printf.sprintf "%s: quote of enclave %d" label enclave) want
+          (quote_md5 enclave))
+      expected
+  in
+  pin "before recovery";
+  Platform.kill_shard platform 0;
+  ignore (Platform.recover_shard platform 0 : Platform.recovery_report);
+  pin "after recover_shard"
+
 (* --- batched drain order: the oracle predicts every batched result --- *)
 
 let test_batched_oracle_exact () =
@@ -307,6 +344,8 @@ let suite =
           test_migrate_crash_at_every_phase;
         Alcotest.test_case "killed shard recovers by journal replay" `Quick
           test_kill_and_recover_shard;
+        Alcotest.test_case "EATTEST quote bytes pinned across recovery" `Quick
+          test_quote_bytes_known_answer;
         Alcotest.test_case "oracle predicts batched drain order exactly" `Quick
           test_batched_oracle_exact;
         Alcotest.test_case "deep sweep excuses injected MAC flips" `Quick

@@ -354,10 +354,17 @@ let test_shm_active_connections () =
 
 (* --- Attest & sealing --- *)
 
+(* A quote as EATTEST signs it: the platform certificate issued once
+   over [platform_measurement], then one AK signature per quote. *)
+let make_quote k ~platform_measurement ~enclave_measurement ~user_data =
+  Attest.make_quote k ~platform_measurement
+    ~platform_certificate:(Attest.platform_certificate k ~platform_measurement)
+    ~enclave_measurement ~user_data
+
 let test_quote_roundtrip () =
   let k = Keymgmt.provision (rng ()) in
   let q =
-    Attest.make_quote k ~platform_measurement:(Bytes.make 32 'p')
+    make_quote k ~platform_measurement:(Bytes.make 32 'p')
       ~enclave_measurement:(Bytes.make 32 'e') ~user_data:(Bytes.of_string "nonce")
   in
   check Alcotest.bool "verifies" true
@@ -371,7 +378,7 @@ let test_quote_roundtrip () =
 let test_quote_tamper_detected () =
   let k = Keymgmt.provision (rng ()) in
   let q =
-    Attest.make_quote k ~platform_measurement:(Bytes.make 32 'p')
+    make_quote k ~platform_measurement:(Bytes.make 32 'p')
       ~enclave_measurement:(Bytes.make 32 'e') ~user_data:Bytes.empty
   in
   let forged = { q with Attest.enclave_measurement = Bytes.make 32 'x' } in
@@ -382,7 +389,7 @@ let test_quote_wrong_keys () =
   let k1 = Keymgmt.provision (rng ()) in
   let k2 = Keymgmt.provision (Hypertee_util.Xrng.create 0x999L) in
   let q =
-    Attest.make_quote k1 ~platform_measurement:(Bytes.make 32 'p')
+    make_quote k1 ~platform_measurement:(Bytes.make 32 'p')
       ~enclave_measurement:(Bytes.make 32 'e') ~user_data:Bytes.empty
   in
   check Alcotest.bool "different platform's keys fail" false
@@ -393,11 +400,41 @@ let test_quote_decode_garbage () =
   check Alcotest.bool "truncated rejected" true
     (let k = Keymgmt.provision (rng ()) in
      let q =
-       Attest.make_quote k ~platform_measurement:(Bytes.make 32 'p')
+       make_quote k ~platform_measurement:(Bytes.make 32 'p')
          ~enclave_measurement:(Bytes.make 32 'e') ~user_data:Bytes.empty
      in
      let b = Attest.quote_to_bytes q in
      Attest.quote_of_bytes (Bytes.sub b 0 (Bytes.length b - 3)) = None)
+
+(* The one-signature quote equals the two-signature reference byte
+   for byte, over random measurements and user data, with the
+   certificate issued once and reused across quotes as the platform
+   does. *)
+let prop_quote_matches_reference =
+  let k = Keymgmt.provision (rng ()) in
+  let digest = QCheck.(map Bytes.of_string (string_of_size (Gen.return 32))) in
+  let user_data = QCheck.(map Bytes.of_string (string_of_size Gen.(0 -- 200))) in
+  let certificates = Hashtbl.create 8 in
+  prop
+    (QCheck.Test.make ~name:"make_quote = make_quote_reference, byte for byte" ~count:40
+       QCheck.(triple (oneofl [ 'p'; 'q'; 'r' ]) digest user_data)
+       (fun (platform_byte, enclave_measurement, user_data) ->
+         let platform_measurement = Bytes.make 32 platform_byte in
+         let platform_certificate =
+           match Hashtbl.find_opt certificates platform_byte with
+           | Some c -> c
+           | None ->
+             let c = Attest.platform_certificate k ~platform_measurement in
+             Hashtbl.add certificates platform_byte c;
+             c
+         in
+         Bytes.equal
+           (Attest.quote_to_bytes
+              (Attest.make_quote k ~platform_measurement ~platform_certificate
+                 ~enclave_measurement ~user_data))
+           (Attest.quote_to_bytes
+              (Attest.make_quote_reference k ~platform_measurement ~enclave_measurement
+                 ~user_data))))
 
 let test_local_report () =
   let k = Keymgmt.provision (rng ()) in
@@ -543,6 +580,7 @@ let suite =
         Alcotest.test_case "tamper detected" `Quick test_quote_tamper_detected;
         Alcotest.test_case "wrong platform keys" `Quick test_quote_wrong_keys;
         Alcotest.test_case "garbage decode" `Quick test_quote_decode_garbage;
+        prop_quote_matches_reference;
         Alcotest.test_case "local report" `Quick test_local_report;
         Alcotest.test_case "seal/unseal" `Quick test_seal_unseal;
         prop_seal_roundtrip;
