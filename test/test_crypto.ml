@@ -23,19 +23,110 @@ let sha256_vectors =
 
 let test_sha256_vectors () =
   List.iter
-    (fun (msg, expected) -> check Alcotest.string msg expected (hex (Sha256.digest_string msg)))
+    (fun (msg, expected) ->
+      check Alcotest.string msg expected (hex (Sha256.digest_string msg));
+      check Alcotest.string ("reference " ^ msg) expected
+        (hex (Sha256.Reference.digest (Bytes.of_string msg))))
     sha256_vectors
 
 let test_sha256_million_a () =
   (* The classic "one million a's" vector exercises many blocks. *)
+  let expected = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0" in
   let ctx = Sha256.init () in
   let chunk = Bytes.make 1000 'a' in
   for _ = 1 to 1000 do
     Sha256.update ctx chunk
   done;
-  check Alcotest.string "1M x a"
-    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (hex (Sha256.finalize ctx))
+  check Alcotest.string "1M x a" expected (hex (Sha256.finalize ctx));
+  check Alcotest.string "reference 1M x a" expected
+    (hex (Sha256.Reference.digest (Bytes.make 1_000_000 'a')))
+
+(* Messages for the kernel-vs-reference properties. Lengths cluster at
+   block boundaries +-1 and at the one-or-two padding blocks edge
+   (55/56 bytes into a block); bytes are mostly 0x00 and 0xFF, since
+   all-ones words push the kernel's unmasked sums highest. *)
+let sha256_msg_gen =
+  let open QCheck.Gen in
+  let len =
+    frequency
+      [
+        (2, int_range 0 1100);
+        (3, map2 (fun k d -> Stdlib.max 0 ((64 * k) + d)) (int_range 0 17) (int_range (-1) 1));
+        (1, map2 (fun k d -> (64 * k) + d) (int_range 0 16) (int_range 55 56));
+      ]
+  in
+  let byte = frequency [ (1, return '\x00'); (2, return '\xff'); (1, char) ] in
+  len >>= fun n ->
+  frequency
+    [
+      (1, return (Bytes.make n '\xff'));
+      (3, map Bytes.of_string (string_size ~gen:byte (return n)));
+    ]
+
+let sha256_msg =
+  QCheck.make sha256_msg_gen ~print:(fun b ->
+      Printf.sprintf "%d bytes: %s" (Bytes.length b) (hex b))
+
+let prop_sha256_matches_reference =
+  prop
+    (QCheck.Test.make ~name:"digest = reference" ~count:500 sha256_msg (fun msg ->
+         Bytes.equal (Sha256.digest msg) (Sha256.Reference.digest msg)))
+
+(* The streaming path fed in pieces, from a slice at offset 0-7 of a
+   larger buffer: the block loads then read every alignment. *)
+let prop_sha256_streamed_slice =
+  prop
+    (QCheck.Test.make ~name:"update_sub at any split and offset = reference" ~count:300
+       QCheck.(triple sha256_msg (int_range 0 7) (small_list (int_range 0 1100)))
+       (fun (msg, off, cuts) ->
+         let len = Bytes.length msg in
+         let buf = Bytes.make (off + len + 5) '\xa5' in
+         Bytes.blit msg 0 buf off len;
+         let cuts = List.sort_uniq compare (List.map (fun c -> c mod (len + 1)) cuts) in
+         let ctx = Sha256.init () in
+         let last =
+           List.fold_left
+             (fun pos cut ->
+               Sha256.update_sub ctx buf ~off:(off + pos) ~len:(cut - pos);
+               cut)
+             0 cuts
+         in
+         Sha256.update_sub ctx buf ~off:(off + last) ~len:(len - last);
+         Bytes.equal (Sha256.finalize ctx) (Sha256.Reference.digest msg)))
+
+(* The stream EADD, ERETIRE's rehash and [Sdk.measure_pages] feed: an
+   8-byte little-endian vpn header, then the 4 KiB page, twice. *)
+let prop_sha256_measurement_stream =
+  let page_size = Hypertee_util.Units.page_size in
+  let page = QCheck.Gen.(map Bytes.of_string (string_size ~gen:char (return page_size))) in
+  let fill =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return (Bytes.make page_size '\x00'));
+          (1, return (Bytes.make page_size '\xff'));
+          (2, page);
+        ])
+  in
+  prop
+    (QCheck.Test.make ~name:"measurement stream = reference" ~count:50
+       QCheck.(
+         make
+           ~print:(fun ((v1, _), (v2, _)) -> Printf.sprintf "vpns %#x, %#x" v1 v2)
+           Gen.(pair (pair (int_range 0 0xFFFFF) fill) (pair (int_range 0 0xFFFFF) fill)))
+       (fun ((vpn1, page1), (vpn2, page2)) ->
+         let ctx = Sha256.init () in
+         let header = Bytes.create 8 in
+         let stream = Buffer.create (2 * (8 + page_size)) in
+         List.iter
+           (fun (vpn, page) ->
+             Bx.set_u64_le header 0 (Int64.of_int vpn);
+             Sha256.feed_sub ctx header ~off:0 ~len:8;
+             Sha256.update ctx page;
+             Buffer.add_bytes stream header;
+             Buffer.add_bytes stream page)
+           [ (vpn1, page1); (vpn2, page2) ];
+         Bytes.equal (Sha256.finalize ctx) (Sha256.Reference.digest (Buffer.to_bytes stream))))
 
 let prop_sha256_incremental =
   prop
@@ -658,6 +749,9 @@ let suite =
         Alcotest.test_case "one million a" `Quick test_sha256_million_a;
         Alcotest.test_case "bad slice" `Quick test_sha256_bad_slice;
         prop_sha256_incremental;
+        prop_sha256_matches_reference;
+        prop_sha256_streamed_slice;
+        prop_sha256_measurement_stream;
       ] );
     ( "crypto.sha3",
       [
