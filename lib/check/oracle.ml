@@ -192,10 +192,12 @@ let sane_config (c : Types.enclave_config) =
   && c.Types.shared_pages >= 0
   && Types.total_static_pages c <= 65536
 
-(* Is [vpn] mapped in a Loading enclave, as far as the model can
-   prove? Heap pages go [`Maybe] once any EFREE/EWB has run anywhere
-   (holes), shm-window pages are always [`Maybe]. *)
-let mapped_status t (e : menclave) vpn =
+(* Is [vpn] an EADD target in a Loading enclave — mapped under the
+   enclave's own KeyID — as far as the model can prove? The staging
+   window (KeyID 0) and the shm window (a region's KeyID) never are.
+   Heap pages go [`Maybe] once any EFREE/EWB has run anywhere
+   (holes). *)
+let add_target_status t (e : menclave) vpn =
   match (e.layout, e.config, e.heap_cursor) with
   | Some l, Some c, Some cursor ->
     let within base n = vpn >= base && vpn < base + n in
@@ -203,12 +205,10 @@ let mapped_status t (e : menclave) vpn =
       within l.Enclave.code_base c.Types.code_pages
       || within l.Enclave.data_base c.Types.data_pages
       || within l.Enclave.stack_base c.Types.stack_pages
-      || within l.Enclave.staging_base c.Types.shared_pages
-    then `Mapped
+    then `Target
     else if vpn >= l.Enclave.heap_base && vpn < cursor then
-      if t.heap_fuzzy then `Maybe else `Mapped
-    else if vpn >= l.Enclave.shm_base && (e.attached <> [] || e.fuzzy_attach) then `Maybe
-    else `Unmapped
+      if t.heap_fuzzy then `Maybe else `Target
+    else `Refused
   | _ -> `Maybe
 
 let predict t ~sender request =
@@ -231,9 +231,9 @@ let predict t ~sender request =
       | Loading ->
         if Bytes.length data > page_size then err_invalid
         else (
-          match mapped_status t e vpn with
-          | `Mapped -> expect_ok_unit
-          | `Unmapped -> err_invalid
+          match add_target_status t e vpn with
+          | `Target -> expect_ok_unit
+          | `Refused -> err_invalid
           | `Maybe -> Any)
       | Unknown -> Any
       | Measured | Running | Interrupted -> err_bad_state))

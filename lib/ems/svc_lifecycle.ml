@@ -135,6 +135,11 @@ let handle_add t ~sender ~enclave ~vpn ~data ~executable =
   else begin
     match Page_table.lookup e.Enclave.page_table ~vpn with
     | None -> Types.Err (Types.Invalid_argument_ "EADD target page not mapped")
+    | Some pte when pte.Pte.key_id <> e.Enclave.key_id ->
+      (* The staging window (host memory, KeyID 0) and shared-memory
+         windows are mapped but not enclave memory: the host or a
+         peer could rewrite a page measured there. *)
+      Types.Err (Types.Invalid_argument_ "EADD target page not enclave memory")
     | Some pte ->
       let add_page = Domain.DLS.get add_page_key in
       Bytes.fill add_page 0 Hypertee_util.Units.page_size '\000';

@@ -225,6 +225,47 @@ let test_staging_window_bidirectional () =
   | Ok b -> check Alcotest.bytes "host reads result" (Bytes.of_string "enclave->host") b
   | Error m -> Alcotest.failf "host read: %s" m
 
+(* EADD measures only enclave memory. The staging window is mapped
+   into the enclave, but it is host memory under KeyID 0: a page
+   measured there could be rewritten by the host after EMEAS, and the
+   warm path would hand out that measurement over whatever the host
+   left (ERETIRE zeroes the staging frames). *)
+let test_eadd_refuses_staging () =
+  let platform = fresh () in
+  let oracle = Platform.attach_oracle platform in
+  let os request =
+    match Platform.invoke platform ~caller:Emcall.Os_kernel request with
+    | Ok r -> r
+    | Error _ -> Alcotest.fail "gate rejected an OS request"
+  in
+  let enclave =
+    match os (Types.Create { config = default_image.Sdk.config }) with
+    | Types.Ok_created { enclave } -> enclave
+    | _ -> Alcotest.fail "ECREATE failed"
+  in
+  List.iter
+    (fun (vpn, data, executable) ->
+      match os (Types.Add { enclave; vpn; data; executable }) with
+      | Types.Ok_unit -> ()
+      | _ -> Alcotest.failf "EADD of image page %#x failed" vpn)
+    (Sdk.add_plan default_image);
+  let ecs = Option.get (Runtime.find_enclave (Platform.Internals.runtime platform) enclave) in
+  let staging = ecs.Enclave.layout.Enclave.staging_base in
+  let code = Bytes.of_string "MEASURED-CODE" in
+  (match os (Types.Add { enclave; vpn = staging; data = code; executable = true }) with
+  | Types.Err (Types.Invalid_argument_ _) -> ()
+  | _ -> Alcotest.fail "EADD into the staging window was accepted");
+  (match Sdk.host_read_staging platform ~enclave ~off:0 ~len:(Bytes.length code) with
+  | Ok b -> check Alcotest.bytes "staging untouched" (Bytes.make (Bytes.length code) '\000') b
+  | Error m -> Alcotest.failf "host read: %s" m);
+  (match os (Types.Measure { enclave }) with
+  | Types.Ok_measure { measurement } ->
+    check Alcotest.bytes "EMEAS covers the image only"
+      (Sdk.expected_measurement default_image) measurement
+  | _ -> Alcotest.fail "EMEAS failed");
+  check Alcotest.int "the oracle predicts the refusal" 0
+    (Hypertee_check.Oracle.divergence_count oracle)
+
 (* --- Swapping (EWB) --- *)
 
 let test_ewb_returns_randomized_count () =
@@ -443,6 +484,7 @@ let suite =
         Alcotest.test_case "alloc/free cycle" `Quick test_alloc_free_cycle;
         Alcotest.test_case "DRAM is ciphertext" `Quick test_enclave_dram_is_ciphertext;
         Alcotest.test_case "staging window" `Quick test_staging_window_bidirectional;
+        Alcotest.test_case "EADD refuses the staging window" `Quick test_eadd_refuses_staging;
       ] );
     ( "platform.swap",
       [
