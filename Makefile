@@ -1,4 +1,4 @@
-.PHONY: all build test sweep fanout-pin chaos-smoke chaos-restart check-invariants conformance bench-perf bench-cloud cloud-pin registry-pins bench-smoke check doc fmt clean
+.PHONY: all build test sweep fanout-pin chaos-smoke chaos-restart check-invariants conformance bench-perf bench-cloud cloud-pin cloud-sweep-pin registry-pins bench-smoke check doc fmt clean
 
 all: build
 
@@ -97,6 +97,25 @@ cloud-pin: build
 		|| { rm -f $$out; echo "cloud-pin: cloud --quick differs from BENCH_cloud.json" >&2; exit 1; }; \
 	rm -f $$out; echo "cloud-pin: cloud --quick matches BENCH_cloud.json"
 
+# The full cloud sweep (160 sessions per point, six load rungs),
+# pinned by the md5 of its stdout in the SWEEP_PIN style. The quick
+# sweep behind cloud-pin never degrades a cold launch, so only this
+# one shows, for example, whether a cold launch is counted when its
+# ECREATE is issued or when the launch completes. Every number in it
+# is on the modelled clock, so any other digest is a change to the
+# model, to be re-pinned here on purpose.
+CLOUD_SWEEP_PIN = dbc15eb1901611880424d9c9b9e458d4
+
+cloud-sweep-pin: build
+	@out=$$(mktemp); \
+	./_build/default/bin/hypertee_cli.exe cloud > $$out \
+		|| { cat $$out; rm -f $$out; echo "cloud-sweep-pin: cloud exited nonzero" >&2; exit 1; }; \
+	got=$$(md5sum < $$out | cut -d' ' -f1); rm -f $$out; \
+	if [ "$$got" != "$(CLOUD_SWEEP_PIN)" ]; then \
+		echo "cloud-sweep-pin: cloud md5=$$got, pinned $(CLOUD_SWEEP_PIN)" >&2; exit 1; \
+	fi; \
+	echo "cloud-sweep-pin: cloud md5=$$got ok"
+
 # One second of each benchmark workload (BENCHMARK.json) at seed 1,
 # run through perfbench/main.exe as the benchmark runs it. Fails if a
 # run exits nonzero (an invariant, oracle or ledger failure) or if a
@@ -168,11 +187,12 @@ conformance: build
 # scale smoke) is clean and hashes to its pin, and so does its
 # fan-out over two domains, the rolling restart recovers every shard
 # with nothing lost and reproduces CHAOS_restart.txt, the cloud sweep
-# reproduces BENCH_cloud.json, `rebalance`, the oracle/invariant pass
+# reproduces BENCH_cloud.json and the full cloud sweep hashes to its
+# pin, `rebalance`, the oracle/invariant pass
 # (`check`), `metrics` and the secure-channel conformance vectors
 # pass and hash to their pins, and the benchmark's seed-1 modelled
 # hashes are the pinned ones.
-check: build test sweep fanout-pin chaos-restart cloud-pin registry-pins bench-smoke
+check: build test sweep fanout-pin chaos-restart cloud-pin cloud-sweep-pin registry-pins bench-smoke
 
 # API reference from the .mli doc comments, built with odoc into
 # _build/default/_doc/_html. Skips with a notice when odoc is absent,

@@ -48,7 +48,8 @@ val measure_ns : t -> bytes:int -> float
 (** EALLOC of [pages] from the EMS pool. *)
 val alloc_ns : t -> pages:int -> float
 
-(** EATTEST: quote build + two signatures. *)
+(** EATTEST: quote build + one signature (the attestation key's over
+    the quote body; the platform certificate is signed once at boot). *)
 val attest_ns : t -> float
 
 (** EENTER/ERESUME context switch into the enclave. *)

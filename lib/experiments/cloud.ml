@@ -45,8 +45,7 @@ let session_config =
 let catalog spec =
   Array.init spec.Tenants.images (fun k ->
       let code, data = Tenants.image_bytes ~image:k in
-      let image = Sdk.image_of_code ~config:session_config ~code ~data () in
-      (image, Sdk.expected_measurement image))
+      Sdk.image_of_code ~config:session_config ~code ~data ())
 
 (* --- one simulated platform under one offered load ----------------- *)
 
@@ -55,7 +54,7 @@ type sim = {
   engine : Engine.t;
   resources : Resource.t array;
   shards : int;
-  images : (Sdk.image * bytes) array;
+  images : Sdk.image array;
   admission_rate : float option;  (* requests/s, for retry pacing *)
   mutable last_adm_ns : float;
   mutable rr : int;  (* queue-model shard guess for enclave-less calls *)
@@ -143,24 +142,69 @@ let rec issue sim ?(retries = 0) ~caller ~request ~on_shed ~on_degraded k =
   sync_admission sim;
   match Platform.invoke_timed sim.platform ~caller request with
   | Error Emcall.Busy ->
-    if retries >= max_busy_retries then on_degraded "admission retries exhausted"
+    if retries >= max_busy_retries then on_degraded ()
     else if retries = 0 && on_shed () then ()
     else
       Engine.after sim.engine ~delay:(retry_gap_ns sim) (fun _ ->
           issue sim ~retries:(retries + 1) ~caller ~request ~on_shed ~on_degraded k)
-  | Error (Emcall.Cross_privilege | Emcall.Mailbox_full | Emcall.Timeout) ->
-    on_degraded "gate rejection"
+  | Error (Emcall.Cross_privilege | Emcall.Mailbox_full | Emcall.Timeout) -> on_degraded ()
   | Ok (response, latency_ns) ->
     sim.calls <- sim.calls + 1;
     let shard = model_shard sim request in
     Resource.submit sim.resources.(shard) ~service_ns:latency_ns
       ~on_done:(fun ~queued_ns:_ ~total_ns:_ -> k response)
 
-(* --- the session state machine ------------------------------------- *)
+(* --- the session ---------------------------------------------------- *)
 
+(* What a tenant does with a launched enclave: a cold enclave attests
+   its fresh identity once; then the host opens a channel, streams
+   [ops] request segments that the enclave endpoint drains one by
+   one, closes the channel and retires the enclave to the warm pool. *)
+let serve (s : Tenants.session) (id, kind) =
+  let host = Emcall.User_host and self = Emcall.User_enclave id in
+  let rec compute ~chan ~left =
+    if left = 0 then
+      Sdk.expect host (Types.Chan_close { chan }) (function
+        | Types.Ok_unit ->
+          Some
+            (Sdk.expect Emcall.Os_kernel (Types.Retire { enclave = id }) (function
+              | Types.Ok_unit -> Some (Sdk.Done kind)
+              | _ -> None))
+        | _ -> None)
+    else
+      let seg = Bytes.make 64 (Char.chr (0x30 + (left land 0x3f))) in
+      Sdk.expect host (Types.Chan_send { chan; seg }) (function
+        | Types.Ok_unit ->
+          Some
+            (Sdk.expect self (Types.Chan_recv { chan }) (function
+              | Types.Ok_seg _ -> Some (compute ~chan ~left:(left - 1))
+              | _ -> None))
+        | _ -> None)
+  in
+  let channel =
+    Sdk.expect host (Types.Chan_open { listener = id }) (function
+      | Types.Ok_chan { chan; _ } ->
+        Some
+          (Sdk.expect self (Types.Chan_accept { enclave = id; chan }) (function
+            | Types.Ok_chan _ -> Some (compute ~chan ~left:(Stdlib.max 1 s.Tenants.ops))
+            | _ -> None))
+      | _ -> None)
+  in
+  match kind with
+  | `Warm -> channel
+  | `Cold ->
+    Sdk.expect self (Types.Attest { enclave = id; user_data = Bytes.of_string "cloud" })
+      (function Types.Ok_attest _ -> Some channel | _ -> None)
+
+(* The timed-queue interpreter: each call goes through [issue]. A
+   cold launch counts when its ECREATE is issued and a warm hit when
+   EWARM hands back an enclave. Only the opening call (EWARM) may shed
+   the session; a session that fails or degrades after it owns an
+   enclave destroys it, best effort, so an abandoned session cannot
+   pin its enclave forever (a shed destroy just leaves it for the
+   platform's own pressure paths). *)
 let start_session sim (s : Tenants.session) ~on_finished =
-  let image, measurement = sim.images.(s.Tenants.image mod Array.length sim.images) in
-  let enclave = ref None in
+  let image = sim.images.(s.Tenants.image mod Array.length sim.images) in
   let finish kind =
     let latency = Engine.now sim.engine -. s.Tenants.arrival_ns in
     Stats.add sim.latencies latency;
@@ -170,108 +214,34 @@ let start_session sim (s : Tenants.session) ~on_finished =
     sim.completed <- sim.completed + 1;
     on_finished ()
   in
-  let degraded detail =
-    ignore detail;
+  let degraded owned () =
     sim.degraded <- sim.degraded + 1;
-    (* Best-effort teardown so an abandoned session cannot pin its
-       enclave forever; a shed destroy just leaves it for the
-       platform's own pressure paths. *)
-    (match !enclave with
-    | Some id ->
-      ignore (Platform.invoke sim.platform ~caller:Emcall.Os_kernel (Types.Destroy { enclave = id }))
-    | None -> ());
+    Option.iter
+      (fun enclave ->
+        ignore (Platform.invoke sim.platform ~caller:Emcall.Os_kernel (Types.Destroy { enclave })))
+      owned;
     on_finished ()
   in
-  (* Only the session's opening call may shed it. *)
   let shed_opening () =
     sim.shed_sessions <- sim.shed_sessions + 1;
     on_finished ();
     true
   in
-  let no_shed () = false in
-  let call ?(first = false) ~caller request k =
-    issue sim ~caller ~request
-      ~on_shed:(if first then shed_opening else no_shed)
-      ~on_degraded:degraded k
+  let rec drive ~on_shed owned = function
+    | Sdk.Done kind -> finish kind
+    | Sdk.Fail _ -> degraded owned ()
+    | Sdk.Created (id, next) -> drive ~on_shed (Some id) next
+    | Sdk.Call (caller, request, k) ->
+      (match request with
+      | Types.Create _ -> sim.cold_launches <- sim.cold_launches + 1
+      | _ -> ());
+      issue sim ~caller ~request ~on_shed ~on_degraded:(degraded owned) (fun response ->
+          (match (request, response) with
+          | Types.Warm_create _, Types.Ok_created _ -> sim.warm_hits <- sim.warm_hits + 1
+          | _ -> ());
+          drive ~on_shed:(fun () -> false) owned (k response))
   in
-  let expect_unit what k = function
-    | Types.Ok_unit -> k ()
-    | Types.Err e -> degraded (what ^ ": " ^ Types.error_message e)
-    | _ -> degraded (what ^ ": unexpected response")
-  in
-  (* Compute phase: the host streams [ops] request segments to the
-     enclave endpoint and drains the replies it would produce. *)
-  let rec compute kind ~chan ~left =
-    if left = 0 then
-      call ~caller:Emcall.User_host (Types.Chan_close { chan })
-        (expect_unit "ECHCLOSE" (fun () ->
-             match !enclave with
-             | None -> degraded "lost enclave before ERETIRE"
-             | Some id ->
-               call ~caller:Emcall.Os_kernel (Types.Retire { enclave = id })
-                 (expect_unit "ERETIRE" (fun () -> finish kind))))
-    else
-      let seg = Bytes.make 64 (Char.chr (0x30 + (left land 0x3f))) in
-      call ~caller:Emcall.User_host (Types.Chan_send { chan; seg })
-        (expect_unit "ECHSEND" (fun () ->
-             match !enclave with
-             | None -> degraded "lost enclave mid-session"
-             | Some id ->
-               call ~caller:(Emcall.User_enclave id) (Types.Chan_recv { chan }) (function
-                 | Types.Ok_seg _ -> compute kind ~chan ~left:(left - 1)
-                 | Types.Err e -> degraded ("ECHRECV: " ^ Types.error_message e)
-                 | _ -> degraded "ECHRECV: unexpected response")))
-  in
-  let open_channel kind id =
-    call ~caller:Emcall.User_host (Types.Chan_open { listener = id }) (function
-      | Types.Ok_chan { chan; _ } ->
-        call ~caller:(Emcall.User_enclave id) (Types.Chan_accept { enclave = id; chan })
-          (function
-          | Types.Ok_chan _ -> compute kind ~chan ~left:(Stdlib.max 1 s.Tenants.ops)
-          | Types.Err e -> degraded ("ECHACC: " ^ Types.error_message e)
-          | _ -> degraded "ECHACC: unexpected response")
-      | Types.Err e -> degraded ("ECHOPEN: " ^ Types.error_message e)
-      | _ -> degraded "ECHOPEN: unexpected response")
-  in
-  (* Cold path: the SDK's exact launch sequence, re-issued through
-     the timed queue, plus one attestation of the fresh identity. *)
-  let cold_launch () =
-    sim.cold_launches <- sim.cold_launches + 1;
-    call ~caller:Emcall.Os_kernel (Types.Create { config = image.Sdk.config }) (function
-      | Types.Ok_created { enclave = id } ->
-        enclave := Some id;
-        let rec add_all = function
-          | [] ->
-            call ~caller:Emcall.Os_kernel (Types.Measure { enclave = id }) (function
-              | Types.Ok_measure { measurement = m } ->
-                if not (Bytes.equal m measurement) then degraded "EMEAS mismatch"
-                else
-                  call ~caller:(Emcall.User_enclave id)
-                    (Types.Attest { enclave = id; user_data = Bytes.of_string "cloud" })
-                    (function
-                    | Types.Ok_attest _ -> open_channel `Cold id
-                    | Types.Err e -> degraded ("EATTEST: " ^ Types.error_message e)
-                    | _ -> degraded "EATTEST: unexpected response")
-              | Types.Err e -> degraded ("EMEAS: " ^ Types.error_message e)
-              | _ -> degraded "EMEAS: unexpected response")
-          | (vpn, data, executable) :: rest ->
-            call ~caller:Emcall.Os_kernel (Types.Add { enclave = id; vpn; data; executable })
-              (expect_unit "EADD" (fun () -> add_all rest))
-        in
-        add_all (Sdk.add_plan image)
-      | Types.Err e -> degraded ("ECREATE: " ^ Types.error_message e)
-      | _ -> degraded "ECREATE: unexpected response")
-  in
-  (* Opening move: try the warm pool; a miss is the signal to pay the
-     full cold launch. *)
-  call ~first:true ~caller:Emcall.Os_kernel (Types.Warm_create { measurement }) (function
-    | Types.Ok_created { enclave = id } ->
-      sim.warm_hits <- sim.warm_hits + 1;
-      enclave := Some id;
-      open_channel `Warm id
-    | Types.Err (Types.Bad_state _) -> cold_launch ()
-    | Types.Err e -> degraded ("EWARM: " ^ Types.error_message e)
-    | _ -> degraded "EWARM: unexpected response")
+  drive ~on_shed:shed_opening None (Sdk.bind (Sdk.warm_launch_steps image) (serve s))
 
 (* --- end-of-run verdict -------------------------------------------- *)
 

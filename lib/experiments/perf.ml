@@ -346,32 +346,17 @@ let run ?(quick = false) ?min_time_s () =
      EADDs and EMEAS, on a fresh seeded platform. Deterministic, so
      the guard pins the ratio exactly. *)
   let modelled = Hypertee.Platform.create ~seed:0x9E30L () in
-  let call request =
-    match Hypertee.Platform.invoke_timed modelled ~caller:Hypertee_cs.Emcall.Os_kernel request with
-    | Ok (Types.Err e, _) -> failwith (Types.error_message e)
-    | Ok (response, ns) -> (response, ns)
-    | Error _ -> failwith "cloud-warm-create: gate rejection"
-  in
   let cold_ns =
-    match call (Types.Create { config = image.Hypertee.Sdk.config }) with
-    | Types.Ok_created { enclave }, create_ns ->
-      let ns =
-        List.fold_left
-          (fun acc (vpn, data, executable) ->
-            acc +. snd (call (Types.Add { enclave; vpn; data; executable })))
-          create_ns (Hypertee.Sdk.add_plan image)
-      in
-      let ns = ns +. snd (call (Types.Measure { enclave })) in
-      ignore (call (Types.Retire { enclave }));
-      ns
-    | _ -> failwith "cloud-warm-create: unexpected ECREATE response"
+    match Hypertee.Sdk.run modelled (Hypertee.Sdk.launch_steps image) with
+    | Ok (enclave, ns) -> (
+      match Hypertee.Sdk.retire modelled ~enclave with Ok () -> ns | Error m -> failwith m)
+    | Error m -> failwith m
   in
   let warm_ns =
-    match
-      call (Types.Warm_create { measurement = Hypertee.Sdk.expected_measurement image })
-    with
-    | Types.Ok_created _, ns -> ns
-    | _ -> failwith "cloud-warm-create: warm pool missed"
+    match Hypertee.Sdk.run modelled (Hypertee.Sdk.warm_launch_steps image) with
+    | Ok ((_, `Warm), ns) -> ns
+    | Ok ((_, `Cold), _) -> failwith "cloud-warm-create: warm pool missed"
+    | Error m -> failwith m
   in
   let modelled_latency target value =
     { target; metric = "modelled-latency"; value; unit_ = "ns"; runs = 1 }

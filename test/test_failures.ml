@@ -13,7 +13,8 @@ module Phys_mem = Hypertee_arch.Phys_mem
 
 let check = Alcotest.check
 
-let tiny_image = Sdk.image_of_code ~code:(Bytes.of_string "x") ~data:Bytes.empty ()
+let tiny_code = Bytes.of_string "x"
+let tiny_image = Sdk.image_of_code ~code:tiny_code ~data:Bytes.empty ()
 
 let small_config =
   {
@@ -24,7 +25,7 @@ let small_config =
     shared_pages = 1;
   }
 
-let small_image = { tiny_image with Sdk.config = small_config }
+let small_image = Sdk.image_of_code ~config:small_config ~code:tiny_code ~data:Bytes.empty ()
 
 (* --- KeyID exhaustion (Sec. IV-C) --- *)
 
@@ -68,10 +69,9 @@ let test_memory_exhaustion_clean_failure () =
   let config = { Config.default with Config.memory_mb = 2; ems_memory_mb = 1 } in
   let platform = Platform.create ~seed:0xF2L ~config () in
   let huge =
-    {
-      tiny_image with
-      Sdk.config = { small_config with Types.heap_pages = 4096 };
-    }
+    Sdk.image_of_code
+      ~config:{ small_config with Types.heap_pages = 4096 }
+      ~code:tiny_code ~data:Bytes.empty ()
   in
   (match Sdk.launch platform huge with
   | Error _ -> ()
@@ -115,13 +115,39 @@ let test_failed_create_leaves_no_ownership () =
   let runtime = Platform.Internals.runtime platform in
   let before = Hypertee_ems.Ownership.size (Runtime.ownership runtime) in
   let huge =
-    { tiny_image with Sdk.config = { small_config with Types.heap_pages = 4096 } }
+    Sdk.image_of_code
+      ~config:{ small_config with Types.heap_pages = 4096 }
+      ~code:tiny_code ~data:Bytes.empty ()
   in
   (match Sdk.launch platform huge with Error _ -> () | Ok _ -> Alcotest.fail "must fail");
   (* No enclave exists, so no private ownership should remain from
      the failed attempt beyond what a subsequent launch can reuse. *)
   check Alcotest.bool "no stuck live enclaves" true (Runtime.live_enclaves runtime = []);
   ignore before
+
+(* The OS rewrites one EADD's bytes in flight. EMEAS exposes it, and
+   the launch must not leave running the enclave it created: no
+   caller ever learns that enclave's id. *)
+let test_tampered_launch_fails_closed () =
+  let config = { Config.default with Config.ems_shards = 2 } in
+  let platform = Platform.create ~seed:0xF7L ~config () in
+  let rec tamper = function
+    | Sdk.Created (enclave, next) -> Sdk.Created (enclave, tamper next)
+    | Sdk.Call (caller, Types.Add add, k) ->
+      Sdk.Call (caller, Types.Add { add with data = Bytes.of_string "EVIL CODE" }, k)
+    | Sdk.Call (caller, request, k) -> Sdk.Call (caller, request, fun r -> tamper (k r))
+    | step -> step
+  in
+  (match Sdk.run platform (tamper (Sdk.launch_steps tiny_image)) with
+  | Error m ->
+    check Alcotest.bool "reported as tampering" true
+      (String.starts_with ~prefix:"measurement mismatch" m)
+  | Ok _ -> Alcotest.fail "a tampered launch must fail");
+  Array.iteri
+    (fun shard runtime ->
+      check Alcotest.(list int) (Printf.sprintf "no live enclave on shard %d" shard) []
+        (Runtime.live_enclaves runtime))
+    (Platform.Internals.runtimes platform)
 
 let test_double_destroy_rejected () =
   let platform = Platform.create ~seed:0xF6L () in
@@ -205,6 +231,7 @@ let suite =
         Alcotest.test_case "alloc failure reports out-of-memory" `Quick test_alloc_failure_reports_out_of_memory;
         Alcotest.test_case "mailbox burst" `Quick test_mailbox_depth_is_not_observable_failure;
         Alcotest.test_case "failed create leaves no state" `Quick test_failed_create_leaves_no_ownership;
+        Alcotest.test_case "tampered launch fails closed" `Quick test_tampered_launch_fails_closed;
         Alcotest.test_case "double destroy rejected" `Quick test_double_destroy_rejected;
         Alcotest.test_case "orphaned shm not attachable" `Quick test_shm_of_destroyed_owner;
         Alcotest.test_case "random operation storm" `Quick test_random_operation_storm;
@@ -297,7 +324,9 @@ let prop = QCheck_alcotest.to_alcotest ~speed_level:`Quick
 
 (* An image with enough heap for long EALLOC sequences. *)
 let roomy_image =
-  { tiny_image with Sdk.config = { Types.default_config with Types.heap_pages = 128 } }
+  Sdk.image_of_code
+    ~config:{ Types.default_config with Types.heap_pages = 128 }
+    ~code:tiny_code ~data:Bytes.empty ()
 
 let alloc_or_fail platform ~enclave ~pages =
   match
